@@ -3,6 +3,7 @@ verify:
 	go build ./...
 	go vet ./...
 	go test -race ./...
+	$(MAKE) perfbench-test
 	go run ./cmd/cgbench -cache -requests 50000
 	go run ./cmd/cgbench -faults -calls 30000
 	$(MAKE) fuzz-smoke FUZZTIME=10s
@@ -23,10 +24,11 @@ fuzz-smoke:
 soak:
 	go run -race ./cmd/cgbench -faults
 
-# The vcoded codegen server, warm-cache snapshot on, lifecycle tracing
-# served at /trace.  curl examples in README.md.
+# The vcoded codegen server, warm-cache snapshot on; the flight
+# recorder (on by default) is served at /trace.  curl examples in
+# README.md.
 run-server:
-	go run ./cmd/vcoded -addr :8753 -snapshot vcoded.snap -trace
+	go run ./cmd/vcoded -addr :8753 -snapshot vcoded.snap
 
 # Mixed-tenant server soak under the race detector: an in-process vcoded
 # with deterministic fault injection, every failure must come back typed,
@@ -44,6 +46,13 @@ crash-soak:
 
 test:
 	go test ./...
+
+# The benchmark harness is its own module (perfbench/go.mod), so the root
+# go build/vet/test never compile it; this catches an API change in the
+# packages it imports (flightrec, telemetry, server, jit) before the
+# benchmark does.
+perfbench-test:
+	cd perfbench && go vet ./... && go test ./...
 
 bench:
 	go test -bench . -benchtime 1s .
@@ -80,4 +89,4 @@ bench-gate: bench-json
 		$(BENCH_OUT) $(BENCH_OUT:.json=.batch.json) $(BENCH_OUT:.json=.serve.json) \
 		$(BENCH_OUT:.json=.tier3.json)
 
-.PHONY: verify fuzz-smoke soak run-server soak-server crash-soak test bench bench-json bench-gate
+.PHONY: verify fuzz-smoke soak run-server soak-server crash-soak test perfbench-test bench bench-json bench-gate

@@ -36,13 +36,14 @@
 //
 // Observability flags (any mode):
 //
-//	-metrics       enable the telemetry registry + trace ring and print
-//	               the Prometheus-text dump after the run
+//	-metrics       enable the telemetry registry and print the
+//	               Prometheus-text dump after the run
 //	-json PATH     write a machine-readable benchmark record ("-" = stdout)
 //	-profile PATH  PC-sample the simulator workload and write a
 //	               pprof-compatible profile
-//	-trace PATH    record lifecycle spans (compile → regalloc → emit →
-//	               verify → install → call → evict) and write Chrome
+//	-trace PATH    turn on the flight recorder (internal/flightrec) and
+//	               write its ring — lifecycle records compile → regalloc →
+//	               emit → verify → install → call → evict — as Chrome
 //	               trace-event JSON, loadable in Perfetto ("-" = stdout);
 //	               in -cache mode the run fails unless some function's
 //	               full lifecycle chain is present
@@ -63,12 +64,12 @@ import (
 	"repro/internal/cgbench"
 	"repro/internal/core"
 	"repro/internal/dcg"
+	"repro/internal/flightrec"
 	"repro/internal/jit"
 	"repro/internal/mem"
 	"repro/internal/mips"
 	"repro/internal/profile"
 	"repro/internal/telemetry"
-	"repro/internal/trace"
 )
 
 func main() {
@@ -84,11 +85,11 @@ func main() {
 	requests := flag.Int("requests", 200000, "cache mode: warm-phase lookup requests")
 	calls := flag.Int("calls", 120000, "faults mode: mixed compile/execute calls")
 	seed := flag.Int64("seed", 1, "faults mode: base PRNG seed (reproduces a fault stream)")
-	metricsOn := flag.Bool("metrics", false, "enable telemetry and print the registry dump")
+	metricsOn := flag.Bool("metrics", false, "enable the telemetry registry and print its dump after the run")
 	jsonPath := flag.String("json", "", "write a machine-readable benchmark record to this path (\"-\" = stdout)")
 	profilePath := flag.String("profile", "", "PC-sample generated code and write a pprof profile to this path")
 	stride := flag.Uint64("stride", profile.DefaultStride, "profiling: sample every N simulated instructions")
-	tracePath := flag.String("trace", "", "record lifecycle spans and write Chrome trace-event JSON to this path (\"-\" = stdout)")
+	tracePath := flag.String("trace", "", "turn on the flight recorder and write its ring as Chrome trace-event JSON to this path (\"-\" = stdout)")
 	annotatePath := flag.String("annotate", "", "write profile-annotated disassembly for all three backends to this path (\"-\" = stdout)")
 	edgeStride := flag.Uint64("edgestride", profile.DefaultEdgeStride, "edge profiling: record every N conditional-branch resolutions")
 	httpAddr := flag.String("http", "", "serve telemetry over HTTP on this address (e.g. :8317)")
@@ -112,10 +113,9 @@ func main() {
 
 	if *metricsOn {
 		telemetry.SetEnabled(true)
-		telemetry.SetTraceEnabled(true)
 	}
 	if *tracePath != "" {
-		trace.SetEnabled(true)
+		flightrec.SetEnabled(true)
 	}
 	var prof *profile.Profiler
 	if *profilePath != "" {
@@ -125,7 +125,7 @@ func main() {
 	if *httpAddr != "" {
 		telemetry.SetEnabled(true)
 		mux := telemetry.NewMux(telemetry.Default)
-		trace.RegisterHTTP(mux, telemetry.Default)
+		flightrec.RegisterHTTP(mux, telemetry.Default)
 		go func() {
 			if err := http.ListenAndServe(*httpAddr, mux); err != nil {
 				fmt.Fprintln(os.Stderr, "cgbench: http:", err)
@@ -200,7 +200,7 @@ func main() {
 		if *cacheMode {
 			// The cache workload must leave a complete lifecycle in the
 			// ring; exiting nonzero here is the CI acceptance check.
-			die(verifyLifecycleChain())
+			die(verifyLifecycleChain(flightrec.Spans()))
 		}
 		die(writeTraceFile(*tracePath))
 	}

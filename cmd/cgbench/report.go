@@ -9,13 +9,13 @@ import (
 	"repro/internal/alpha"
 	"repro/internal/cgbench"
 	"repro/internal/core"
+	"repro/internal/flightrec"
 	"repro/internal/jit"
 	"repro/internal/mem"
 	"repro/internal/mips"
 	"repro/internal/server"
 	"repro/internal/sparc"
 	"repro/internal/telemetry"
-	"repro/internal/trace"
 )
 
 // jsonReport is the machine-readable benchmark record written by -json.
@@ -206,12 +206,12 @@ func emitNsPerInsn(bk core.Backend, iters int, hard bool) (float64, error) {
 // attributes the call-rate headline to the engine rather than to cache
 // or driver effects.
 func (r *jsonReport) measureExec(calls int) error {
-	// Span recording off for the measurement: tens of thousands of
-	// per-call spans would both distort the rate and flush the workload's
+	// Recording off for the measurement: tens of thousands of per-call
+	// records would both distort the rate and flush the workload's
 	// lifecycle chain out of the bounded ring before -trace snapshots it.
-	if trace.Enabled() {
-		trace.SetEnabled(false)
-		defer trace.SetEnabled(true)
+	if flightrec.Enabled() {
+		flightrec.SetEnabled(false)
+		defer flightrec.SetEnabled(true)
 	}
 	r.Exec = map[string]execStats{}
 	for _, target := range []string{"mips", "sparc", "alpha"} {

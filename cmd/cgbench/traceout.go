@@ -6,10 +6,10 @@ import (
 	"os"
 
 	"repro/internal/core"
+	"repro/internal/flightrec"
 	"repro/internal/jit"
 	"repro/internal/mem"
 	"repro/internal/profile"
-	"repro/internal/trace"
 )
 
 // openOut opens path for writing, with "-" meaning stdout (which the
@@ -25,47 +25,47 @@ func openOut(path string) (io.Writer, func() error, error) {
 	return f, f.Close, nil
 }
 
-// writeTraceFile exports the span ring as Chrome trace-event JSON
-// (chrome://tracing / Perfetto both load it directly).
+// writeTraceFile exports the flight-recorder ring as Chrome trace-event
+// JSON (chrome://tracing / Perfetto both load it directly).
 func writeTraceFile(path string) error {
 	w, closeFn, err := openOut(path)
 	if err != nil {
 		return err
 	}
-	if err := trace.WriteChromeTrace(w); err != nil {
+	if err := flightrec.WriteChromeTrace(w); err != nil {
 		closeFn()
 		return err
 	}
 	if err := closeFn(); err != nil {
 		return err
 	}
-	n := trace.Len()
+	n := flightrec.Len()
 	if path != "-" {
-		fmt.Printf("wrote %s (%d spans)\n", path, n)
+		fmt.Printf("wrote %s (%d records)\n", path, n)
 	}
 	return nil
 }
 
 // lifecycleKinds is the full generate-install-execute-evict chain one
 // function's flow must show for the trace to count as complete.
-var lifecycleKinds = []trace.Kind{
-	trace.KindCompile, trace.KindRegalloc, trace.KindEmit,
-	trace.KindVerify, trace.KindInstall, trace.KindCall, trace.KindEvict,
+var lifecycleKinds = []flightrec.Kind{
+	flightrec.KindCompile, flightrec.KindRegalloc, flightrec.KindEmit,
+	flightrec.KindVerify, flightrec.KindInstall, flightrec.KindCall, flightrec.KindEvict,
 }
 
-// verifyLifecycleChain asserts that at least one flow in the span ring
+// verifyLifecycleChain asserts that at least one flow in a ring snapshot
 // carries the complete lifecycle.  The cache workload compiles, runs and
-// evicts far more functions than the ring holds spans, so this is a real
-// end-to-end check, not a formality.
-func verifyLifecycleChain() error {
-	byFlow := make(map[uint64]map[trace.Kind]bool)
-	for _, s := range trace.Spans() {
+// evicts far more functions than the ring holds records, so this is a
+// real end-to-end check, not a formality.
+func verifyLifecycleChain(spans []flightrec.Span) error {
+	byFlow := make(map[uint64]map[flightrec.Kind]bool)
+	for _, s := range spans {
 		if s.Flow == 0 {
 			continue
 		}
 		m := byFlow[s.Flow]
 		if m == nil {
-			m = make(map[trace.Kind]bool)
+			m = make(map[flightrec.Kind]bool)
 			byFlow[s.Flow] = m
 		}
 		m[s.Kind] = true
@@ -82,7 +82,7 @@ func verifyLifecycleChain() error {
 			return nil
 		}
 	}
-	return fmt.Errorf("trace: no flow shows the full %v lifecycle across %d flows", lifecycleKinds, len(byFlow))
+	return fmt.Errorf("flightrec: no flow shows the full %v lifecycle across %d flows", lifecycleKinds, len(byFlow))
 }
 
 // runAnnotateDemo compiles and runs the same loop on all three backends

@@ -27,12 +27,14 @@
 // Observability rides on the same listener: /metrics, /metrics.json,
 // /debug/vars, /debug/pprof/*, /trace, /trace.txt, /healthz, /readyz,
 // /v1/stats, and /debug/bundle — a one-request gzipped diagnostic
-// archive (flight-recorder ring + exemplars, metrics, trace, goroutine
-// dump, shard stats, journal positions).  The flight recorder (-flight,
-// on by default) records every request's admission/cache/journal/exec
-// decision chain into a lock-light ring; SIGQUIT writes a bundle to
-// -bundle-dir without stopping the server, and a panic on the serve
-// path writes one on the way down.  The SLO watchdog (-slo-p99,
+// archive (flight-recorder ring + exemplars, metrics, goroutine dump,
+// shard stats, journal positions).  The flight recorder (-flight, on by
+// default) is the one event switch: it records every request's
+// admission/cache/journal/exec/outcome chain and the lifecycle of the
+// code it ran into one lock-light ring, served as Chrome trace-event
+// JSON at /trace and as a timeline at /trace.txt.  SIGQUIT writes a
+// bundle to -bundle-dir without stopping the server, and a panic on the
+// serve path writes one on the way down.  The SLO watchdog (-slo-p99,
 // -slo-error-rate, -slo-window) tracks windowed p99 latency and
 // server-fault error rate per tenant and globally, exports slo.*
 // gauges, and annotates /readyz with "degraded:" reasons while an
@@ -66,7 +68,6 @@ import (
 	"repro/internal/server"
 	"repro/internal/slo"
 	"repro/internal/telemetry"
-	"repro/internal/trace"
 )
 
 // fatal logs at Error and exits — the slog replacement for log.Fatalf.
@@ -111,8 +112,7 @@ func main() {
 		chaosJrnlSync  = flag.Float64("chaos-journal-sync-rate", 0, "injected journal fsync-failure probability")
 		chaosCompile   = flag.Float64("chaos-compile-rate", 0, "injected compile-failure probability")
 
-		traceOn  = flag.Bool("trace", false, "record lifecycle spans (serve at /trace)")
-		flightOn = flag.Bool("flight", true, "record per-request flight events (served in /debug/bundle)")
+		flightOn = flag.Bool("flight", true, "record request chains and code lifecycles (served at /trace and in /debug/bundle)")
 
 		bundleDir = flag.String("bundle-dir", ".", "directory for SIGQUIT/panic diagnostic bundles")
 
@@ -146,9 +146,6 @@ func main() {
 	slog.SetDefault(logger)
 
 	telemetry.SetEnabled(true)
-	if *traceOn {
-		trace.SetEnabled(true)
-	}
 	flightrec.SetEnabled(*flightOn)
 	if *journalPath != "" && *snapshot == "" {
 		fatal("-journal requires -snapshot (the file checkpoints compact into)")

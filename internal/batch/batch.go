@@ -34,8 +34,8 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/flightrec"
 	"repro/internal/telemetry"
-	"repro/internal/trace"
 )
 
 // ErrClosed is returned for work given to a pool after Close.
@@ -231,7 +231,7 @@ func (p *Pool) run(ctx context.Context, reqs []Request, res []Result) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	span := trace.Begin(trace.KindBatch, p.m.Backend().Name(), fmt.Sprintf("batch[%d]", len(reqs)))
+	span := flightrec.StartSpan(flightrec.KindBatch, p.m.Backend().Name(), fmt.Sprintf("batch[%d]", len(reqs)))
 
 	// Fan the compiles out to the workers.  On cancellation mid-enqueue
 	// the not-yet-accepted remainder is failed immediately; items a
@@ -301,7 +301,7 @@ func (p *Pool) run(ctx context.Context, reqs []Request, res []Result) {
 	if nerr > 0 {
 		verdict = fmt.Sprintf("%d failed", nerr)
 	}
-	span.End(trace.NextFlow(), trace.Attrs{N: int64(len(reqs)), Bytes: installedBytes, Verdict: verdict})
+	span.End(flightrec.NextFlow(), flightrec.Attrs{N: int64(len(reqs)), Bytes: installedBytes, Verdict: verdict})
 }
 
 // worker is one compile goroutine.  It owns one assembler, reused

@@ -22,8 +22,8 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/flightrec"
 	"repro/internal/telemetry"
-	"repro/internal/trace"
 )
 
 // CompileFunc produces the function for a key on a cache miss.  It runs
@@ -202,7 +202,7 @@ func (c *Cache) shard(key string) *shard {
 // Config.FailureBackoff (not at all when zero — the next request retries).
 func (c *Cache) GetOrCompile(key string, compile CompileFunc) (*core.Func, error) {
 	var lkStart time.Time
-	if trace.Enabled() {
+	if flightrec.Enabled() {
 		lkStart = time.Now()
 	}
 	s := c.shard(key)
@@ -288,8 +288,8 @@ func (c *Cache) GetOrCompile(key string, compile CompileFunc) (*core.Func, error
 	return fn, nil
 }
 
-// lookupSpan records a KindLookup trace span for one GetOrCompile
-// outcome.  lkStart is zero when tracing was off at entry — then this is
+// lookupSpan records a KindLookup record for one GetOrCompile outcome.
+// lkStart is zero when recording was off at entry — then this is
 // a no-op, keeping the disabled path at its single atomic load.  On a
 // miss the span covers the whole flight (compile + install), which is
 // exactly the latency the caller saw.
@@ -301,11 +301,11 @@ func lookupSpan(lkStart time.Time, verdict string, fn *core.Func, key string, er
 	if fn != nil {
 		name, backend, flow = fn.Name, fn.BackendName, fn.TraceFlow()
 	}
-	at := trace.Attrs{Verdict: verdict}
+	at := flightrec.Attrs{Verdict: verdict}
 	if err != nil {
-		at.Err = err.Error()
+		at.Detail = err.Error()
 	}
-	trace.Record(trace.KindLookup, backend, name, flow, lkStart, time.Since(lkStart), at)
+	flightrec.Record(flightrec.KindLookup, backend, name, flow, lkStart, time.Since(lkStart), at)
 }
 
 // runCompile runs the client's compile callback with panic isolation: the
@@ -424,13 +424,14 @@ func (c *Cache) drop(e *entry, evicted bool) {
 	c.codeBytes.Add(-e.size)
 	if evicted {
 		c.evictions.Add(1)
-		if telemetry.Enabled() {
-			telemetry.TraceRecord(telemetry.PhaseEvict, e.fn.BackendName, e.fn.Name, 0, e.size)
-		}
 	}
 	if c.machine != nil {
-		// A racing caller may already be re-running the function (Call
-		// re-installs on demand), so a failed uninstall is not fatal.
+		// Uninstall fails only if the client moved or uninstalled the
+		// function itself.  A caller still holding e.fn may call it
+		// later: the machine re-installs it on demand, outside this
+		// cache's accounting, or fails with core.ErrUninstalled if its
+		// address was taken.  Clients whose code must stay put while in
+		// use pin it above the cache, as the server does per unit.
 		_ = c.machine.Uninstall(e.fn)
 	}
 	if c.onEvict != nil {

@@ -9,9 +9,9 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/flightrec"
 	"repro/internal/mem"
 	"repro/internal/mips"
-	"repro/internal/trace"
 )
 
 // fake returns a CompileFunc yielding a standalone (uninstallable) Func
@@ -420,9 +420,9 @@ func TestFailureBackoff(t *testing.T) {
 // TestLookupTraceVerdicts: GetOrCompile emits one KindLookup span per
 // outcome, with the verdict naming which path answered.
 func TestLookupTraceVerdicts(t *testing.T) {
-	trace.SetEnabled(true)
-	trace.Reset()
-	defer func() { trace.SetEnabled(false); trace.Reset() }()
+	flightrec.SetEnabled(true)
+	flightrec.Reset()
+	defer func() { flightrec.SetEnabled(false); flightrec.Reset() }()
 
 	c := New(Config{FailureBackoff: time.Minute})
 	var n atomic.Int64
@@ -441,16 +441,16 @@ func TestLookupTraceVerdicts(t *testing.T) {
 	}
 
 	got := map[string]int{}
-	for _, s := range trace.Spans() {
-		if s.Kind == trace.KindLookup {
+	for _, s := range flightrec.Spans() {
+		if s.Kind == flightrec.KindLookup {
 			got[s.Attrs.Verdict]++
 		}
 	}
 	if got["miss"] != 2 || got["hit"] != 1 || got["negative"] != 1 {
 		t.Errorf("lookup verdicts = %v, want miss=2 hit=1 negative=1", got)
 	}
-	for _, s := range trace.Spans() {
-		if s.Kind == trace.KindLookup && s.Attrs.Verdict == "hit" && s.Name != "fake" {
+	for _, s := range flightrec.Spans() {
+		if s.Kind == flightrec.KindLookup && s.Attrs.Verdict == "hit" && s.Name != "fake" {
 			t.Errorf("hit span name = %q, want compiled function name", s.Name)
 		}
 	}

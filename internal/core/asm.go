@@ -4,8 +4,8 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/flightrec"
 	"repro/internal/telemetry"
-	"repro/internal/trace"
 )
 
 // Label names a code position for branches and jumps.  Labels are created
@@ -95,14 +95,14 @@ type Asm struct {
 	insnCount int
 	exts      map[string]*ExtDef
 
-	// emitStart stamps Begin when telemetry or tracing is enabled (zero
-	// otherwise); tstats caches the per-backend instrument handles.  With
-	// both off the only emission-path cost is one atomic load in Begin
-	// and one in End — nothing per instruction.
+	// emitStart stamps Begin when telemetry or the event recorder is on
+	// (zero otherwise); tstats caches the per-backend instrument handles.
+	// With both off the only emission-path cost is the gate loads in
+	// Begin — nothing per instruction.
 	emitStart time.Time
 	tstats    *telemetry.CodegenStats
-	// flow is the lifecycle span ID for the function under construction,
-	// assigned at Begin when tracing is on so front ends (jit.Compile)
+	// flow is the lifecycle flow ID for the function under construction,
+	// assigned at Begin when recording is on so front ends (jit.Compile)
 	// can hang regalloc/compile spans on it before End produces the Func.
 	flow uint64
 
@@ -114,8 +114,8 @@ type Asm struct {
 	recPause int
 }
 
-// TraceFlow returns the lifecycle span ID of the function currently being
-// built (0 when tracing is off or no build is active).
+// TraceFlow returns the lifecycle flow ID of the function currently being
+// built (0 when recording is off or no build is active).
 func (a *Asm) TraceFlow() uint64 { return a.flow }
 
 // NewAsm returns an assembler for the target's default conventions.
@@ -205,16 +205,10 @@ func (a *Asm) BeginTypes(params []Type, leaf bool) ([]Reg, error) {
 	}
 	a.emitStart = time.Time{}
 	a.flow = 0
-	if telemetry.Enabled() {
-		if a.tstats == nil {
-			a.tstats = telemetry.ForBackend(a.backend.Name())
-		}
+	if observed() {
 		a.emitStart = time.Now()
-	}
-	if trace.Enabled() {
-		a.flow = trace.NextFlow()
-		if a.emitStart.IsZero() {
-			a.emitStart = time.Now()
+		if flightrec.Enabled() {
+			a.flow = flightrec.NextFlow()
 		}
 	}
 	a.buf.Reset()
@@ -429,15 +423,17 @@ func (a *Asm) End() (*Func, error) {
 	fn.flow = a.flow
 	if !a.emitStart.IsZero() {
 		d := time.Since(a.emitStart)
-		if telemetry.Enabled() && a.tstats != nil {
+		if telemetry.Enabled() {
+			if a.tstats == nil {
+				a.tstats = telemetry.ForBackend(a.backend.Name())
+			}
 			a.tstats.EmitNS.Observe(uint64(d))
 			a.tstats.Insns.Add(uint64(a.insnCount))
 			a.tstats.Funcs.Inc()
-			telemetry.TraceRecord(telemetry.PhaseEmit, a.backend.Name(), a.name, d, int64(a.insnCount))
 		}
-		if trace.Enabled() {
-			trace.Record(trace.KindEmit, a.backend.Name(), a.name, fn.lifecycleFlow(),
-				a.emitStart, d, trace.Attrs{N: int64(a.insnCount), Bytes: int64(fn.SizeBytes())})
+		if flightrec.Enabled() {
+			flightrec.Record(flightrec.KindEmit, a.backend.Name(), a.name, fn.lifecycleFlow(),
+				a.emitStart, d, flightrec.Attrs{N: int64(a.insnCount), Bytes: int64(fn.SizeBytes())})
 		}
 	}
 	return fn, nil

@@ -45,6 +45,11 @@ var (
 	// runs past its step budget (CallOpts.Fuel, or the machine-wide
 	// MaxSteps backstop).
 	ErrFuelExhausted = errors.New("vcode: fuel exhausted")
+	// ErrUninstalled is reported by Call/CallWith for an address-taken
+	// function (Machine.TakeAddr) that was Uninstalled and not explicitly
+	// installed again: memory still holding its old address may now
+	// point at other code, so it is not re-installed on demand.
+	ErrUninstalled = errors.New("vcode: function was uninstalled")
 )
 
 // TrapPanicError reports that a runtime-helper trap handler panicked

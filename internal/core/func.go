@@ -3,7 +3,8 @@ package core
 import (
 	"fmt"
 
-	"repro/internal/trace"
+	"repro/internal/flightrec"
+	"repro/internal/telemetry"
 )
 
 // RelocKind classifies a relocation left in a Func for the loader.
@@ -80,25 +81,34 @@ type Func struct {
 	// re-enter Install before the final words exist).
 	sum      uint64
 	sumValid bool
-	// flow is the lifecycle span ID shared by every trace span this
-	// function generates (see internal/trace); 0 until tracing assigns
-	// one.
+	// flow is the lifecycle flow ID shared by every record this function
+	// leaves in the event recorder (see internal/flightrec); 0 until
+	// recording assigns one.
 	flow uint64
+	// addrTaken marks a function whose entry address a front end stored
+	// in simulated memory (Machine.TakeAddr); uninstalled marks one
+	// removed by Uninstall and not yet explicitly installed again.  A
+	// call of a function with both set fails with ErrUninstalled.
+	addrTaken, uninstalled bool
 }
 
-// TraceFlow returns the function's lifecycle span ID, or 0 if tracing
+// TraceFlow returns the function's lifecycle flow ID, or 0 if recording
 // never touched it.
 func (f *Func) TraceFlow() uint64 { return f.flow }
 
-// lifecycleFlow returns the lifecycle span ID, assigning one on first
+// lifecycleFlow returns the lifecycle flow ID, assigning one on first
 // use.  Callers must serialize (the Machine invokes it under its mutex;
 // the Asm owns the Func exclusively until End returns).
 func (f *Func) lifecycleFlow() uint64 {
 	if f.flow == 0 {
-		f.flow = trace.NextFlow()
+		f.flow = flightrec.NextFlow()
 	}
 	return f.flow
 }
+
+// observed reports whether anything consumes phase timings: the metrics
+// registry or the event recorder.
+func observed() bool { return telemetry.Enabled() || flightrec.Enabled() }
 
 // Installed reports whether a Machine has placed the function in memory.
 func (f *Func) Installed() bool { return f.installed }

@@ -11,9 +11,9 @@ import (
 	"time"
 
 	"repro/internal/exec"
+	"repro/internal/flightrec"
 	"repro/internal/mem"
 	"repro/internal/telemetry"
-	"repro/internal/trace"
 	"repro/internal/verify"
 )
 
@@ -442,6 +442,19 @@ func (m *Machine) Install(f *Func) error {
 	return m.install(f)
 }
 
+// TakeAddr returns f's callable entry address for a front end to store
+// in simulated memory — a dispatch table, a function pointer — and marks
+// f address-taken: once f is uninstalled, calling it fails with
+// ErrUninstalled instead of re-installing it on demand, because the
+// stored addresses (its own, and its siblings') would still point at the
+// reclaimed regions.
+func (m *Machine) TakeAddr(f *Func) uint64 {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	f.addrTaken = true
+	return f.EntryAddr()
+}
+
 // Installed reports whether f is currently installed on this machine (a
 // function released wholesale via Release still claims to be installed —
 // Mark/Release does not track individual functions).
@@ -457,7 +470,10 @@ func (m *Machine) Installed(f *Func) bool {
 // stack-style Mark/Release arena (§5.2).  Only f's own words are freed;
 // functions it references stay installed.  The caller must ensure nothing
 // resident still jumps into f.  The function itself stays valid and may be
-// installed again (here or on another machine).
+// installed again (here or on another machine).  A call re-installs an
+// uninstalled function on demand unless its address was taken
+// (TakeAddr): that call fails with ErrUninstalled until an explicit
+// Install, rather than running next to stale stored addresses.
 func (m *Machine) Uninstall(f *Func) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -472,14 +488,14 @@ func (m *Machine) Uninstall(f *Func) error {
 	m.removeSpan(f.addr)
 	if telemetry.Enabled() {
 		m.stats().Uninstalls.Inc()
-		telemetry.TraceRecord(telemetry.PhaseEvict, f.BackendName, f.Name, 0, int64(f.codeSize))
 	}
-	if trace.Enabled() {
-		trace.Record(trace.KindEvict, f.BackendName, f.Name, f.lifecycleFlow(),
-			time.Now(), 0, trace.Attrs{Bytes: int64(f.codeSize)})
+	if flightrec.Enabled() {
+		flightrec.Record(flightrec.KindEvict, f.BackendName, f.Name, f.lifecycleFlow(),
+			time.Now(), 0, flightrec.Attrs{Bytes: int64(f.codeSize)})
 	}
 	f.addr = 0
 	f.installed = false
+	f.uninstalled = true
 	f.owner = nil
 	f.codeSize = 0
 	f.sumValid = false
@@ -630,7 +646,7 @@ func (m *Machine) install(f *Func) error {
 		return err
 	}
 	var start time.Time
-	if telemetry.Enabled() || trace.Enabled() {
+	if observed() {
 		start = time.Now()
 	}
 	size := installSize(f)
@@ -664,6 +680,7 @@ func (m *Machine) install(f *Func) error {
 	}
 	f.sum = sumWords(f.Words)
 	f.sumValid = true
+	f.uninstalled = false
 	m.addSpan(FuncSpan{Start: addr, End: addr + size, Name: f.spanName()})
 	if m.tcpu != nil {
 		// f.Words were patched in place by linkAndVerify, so they match
@@ -678,11 +695,10 @@ func (m *Machine) install(f *Func) error {
 			st := m.stats()
 			st.InstallNS.Observe(uint64(d))
 			st.Installs.Inc()
-			telemetry.TraceRecord(telemetry.PhaseInstall, f.BackendName, f.Name, d, int64(size))
 		}
-		if trace.Enabled() {
-			trace.Record(trace.KindInstall, f.BackendName, f.Name, f.lifecycleFlow(),
-				start, d, trace.Attrs{Bytes: int64(size)})
+		if flightrec.Enabled() {
+			flightrec.Record(flightrec.KindInstall, f.BackendName, f.Name, f.lifecycleFlow(),
+				start, d, flightrec.Attrs{Bytes: int64(size)})
 		}
 	}
 	return nil
@@ -848,7 +864,7 @@ func (m *Machine) InstallBatch(ctx context.Context, parallelism int, fns []*Func
 		ctx = context.Background()
 	}
 	var start time.Time
-	if telemetry.Enabled() || trace.Enabled() {
+	if observed() {
 		start = time.Now()
 	}
 
@@ -1006,6 +1022,7 @@ func (m *Machine) InstallBatch(ctx context.Context, parallelism int, fns []*Func
 		f.sum = sumWords(f.Words)
 		f.sumValid = true
 		f.installed = true
+		f.uninstalled = false
 		m.spanList = append(m.spanList, FuncSpan{Start: f.addr, End: f.addr + it.size, Name: f.spanName()})
 		m.attachBody(it.body)
 		installed++
@@ -1036,11 +1053,10 @@ func (m *Machine) InstallBatch(ctx context.Context, parallelism int, fns []*Func
 				st := telemetry.ForBackend(f.BackendName)
 				st.InstallNS.Observe(uint64(d))
 				st.Installs.Inc()
-				telemetry.TraceRecord(telemetry.PhaseInstall, f.BackendName, f.Name, d, int64(it.size))
 			}
-			if trace.Enabled() {
-				trace.Record(trace.KindInstall, f.BackendName, f.Name, f.lifecycleFlow(),
-					start, d, trace.Attrs{Bytes: int64(it.size)})
+			if flightrec.Enabled() {
+				flightrec.Record(flightrec.KindInstall, f.BackendName, f.Name, f.lifecycleFlow(),
+					start, d, flightrec.Attrs{Bytes: int64(it.size)})
 			}
 		}
 	}
@@ -1064,7 +1080,7 @@ func (m *Machine) SetVerify(on bool) {
 // from their parallel phase.
 func (m *Machine) verifyFunc(f *Func, extern func(uint64) bool) error {
 	var start time.Time
-	if telemetry.Enabled() || trace.Enabled() {
+	if observed() {
 		start = time.Now()
 	}
 	var prs []verify.PoolRef
@@ -1089,15 +1105,14 @@ func (m *Machine) verifyFunc(f *Func, extern func(uint64) bool) error {
 		d := time.Since(start)
 		if telemetry.Enabled() {
 			telemetry.ForBackend(f.BackendName).VerifyNS.Observe(uint64(d))
-			telemetry.TraceRecord(telemetry.PhaseVerify, f.BackendName, f.Name, d, int64(len(f.Words)))
 		}
-		if trace.Enabled() {
+		if flightrec.Enabled() {
 			verdict := "ok"
 			if err != nil {
 				verdict = "reject"
 			}
-			trace.Record(trace.KindVerify, f.BackendName, f.Name, f.lifecycleFlow(),
-				start, d, trace.Attrs{N: int64(len(f.Words)), Verdict: verdict, Err: errText(err)})
+			flightrec.Record(flightrec.KindVerify, f.BackendName, f.Name, f.lifecycleFlow(),
+				start, d, flightrec.Attrs{N: int64(len(f.Words)), Verdict: verdict, Detail: errText(err)})
 		}
 	}
 	return err
@@ -1206,11 +1221,10 @@ func (m *Machine) CallWithStats(ctx context.Context, opts CallOpts, f *Func, arg
 		ts.CallNS.Observe(uint64(st.Wall))
 		ts.SimInsns.Add(st.Insns)
 		ts.SimCycles.Add(st.Cycles)
-		telemetry.TraceRecordAt(start.Add(st.Wall), telemetry.PhaseCall, f.BackendName, f.Name, st.Wall, int64(st.Insns))
 	}
-	if trace.Enabled() {
-		trace.Record(trace.KindCall, f.BackendName, f.Name, f.lifecycleFlow(),
-			start, st.Wall, trace.Attrs{N: int64(st.Insns), Fuel: fuelUsed, Err: errText(err)})
+	if flightrec.Enabled() && f != nil {
+		flightrec.Record(flightrec.KindCall, f.BackendName, f.Name, f.lifecycleFlow(),
+			start, st.Wall, flightrec.Attrs{N: int64(st.Insns), Fuel: fuelUsed, Detail: errText(err)})
 	}
 	return v, st, err
 }
@@ -1228,7 +1242,13 @@ func (m *Machine) callLocked(ctx context.Context, opts CallOpts, f *Func, args [
 		// mutation fingerprint is verified on explicit Install, and a
 		// call always executes the installed image, so a mutated Words
 		// slice cannot affect it — re-hashing every call would put an
-		// O(code size) scan on the warm path.
+		// O(code size) scan on the warm path.  An uninstalled
+		// address-taken function is not re-installed here: the dispatch
+		// table holding its old address, and the siblings that table
+		// points at, may have been reclaimed and reused with it.
+		if f != nil && f.uninstalled && f.addrTaken {
+			return Value{}, 0, fmt.Errorf("machine: calling %s: %w", f.Name, ErrUninstalled)
+		}
 		if err := m.install(f); err != nil {
 			return Value{}, 0, err
 		}

@@ -1,4 +1,4 @@
-package trace
+package flightrec
 
 import (
 	"encoding/json"
@@ -32,22 +32,26 @@ type chromeTrace struct {
 	DisplayTimeUnit string        `json:"displayTimeUnit"`
 }
 
-// WriteChromeTrace exports the current span ring as Chrome trace-event
-// JSON.  Each lifecycle flow becomes one named track (tid = flow), so a
-// generated function's compile → … → evict chain reads as a single lane
-// in Perfetto.
-func WriteChromeTrace(w io.Writer) error {
-	spans := Spans()
+// WriteChromeTrace exports the current ring as Chrome trace-event JSON.
+func WriteChromeTrace(w io.Writer) error { return WriteChrome(w, Spans()) }
+
+// WriteChrome exports a ring snapshot as Chrome trace-event JSON.  Each
+// lifecycle flow becomes one named track (tid = flow), so a generated
+// function's compile → … → evict chain, and the requests that ran it,
+// read as a single lane in Perfetto.  Every record carries its ring
+// sequence number in args.seq.
+func WriteChrome(w io.Writer, spans []Span) error {
 	evs := make([]chromeEvent, 0, len(spans)+16)
 	evs = append(evs, chromeEvent{
 		Name: "process_name", Ph: "M", Pid: 1,
-		Args: map[string]any{"name": "vcode codegen"},
+		Args: map[string]any{"name": "vcode"},
 	})
-	// Name each flow's track after its function; the first span carrying
-	// a non-empty name wins (all spans of a flow describe one function).
+	// Name each flow's track after its function; the first lifecycle
+	// record carrying a non-empty name wins (all of them describe one
+	// function).
 	flowName := map[uint64]string{}
 	for _, s := range spans {
-		if s.Flow != 0 && s.Name != "" {
+		if s.Flow != 0 && s.Name != "" && !s.Kind.isRequest() {
 			if _, ok := flowName[s.Flow]; !ok {
 				flowName[s.Flow] = s.Name + " [" + s.Backend + "]"
 			}
@@ -65,26 +69,38 @@ func WriteChromeTrace(w io.Writer) error {
 		})
 	}
 	for _, s := range spans {
-		args := map[string]any{"func": s.Name, "seq": s.Seq}
-		if s.Attrs.Bytes != 0 {
-			args["bytes"] = s.Attrs.Bytes
+		args := map[string]any{"seq": s.Seq}
+		if s.Kind.isRequest() {
+			args["request_id"] = s.Name
+		} else {
+			args["func"] = s.Name
 		}
-		if s.Attrs.N != 0 {
-			args["n"] = s.Attrs.N
-		}
-		if s.Attrs.Fuel != 0 {
-			args["fuel"] = s.Attrs.Fuel
-		}
-		if s.Attrs.Verdict != "" {
-			args["verdict"] = s.Attrs.Verdict
-		}
-		if s.Attrs.Err != "" {
-			args["err"] = s.Attrs.Err
+		a := s.Attrs
+		for _, kv := range []struct {
+			k   string
+			v   any
+			set bool
+		}{
+			{"bytes", a.Bytes, a.Bytes != 0},
+			{"n", a.N, a.N != 0},
+			{"fuel", a.Fuel, a.Fuel != 0},
+			{"lsn", a.LSN, a.LSN != 0},
+			{"verdict", a.Verdict, a.Verdict != ""},
+			{"detail", a.Detail, a.Detail != ""},
+			{"tenant", a.Tenant, a.Tenant != ""},
+			{"key", a.Key, a.Key != ""},
+			{"shard", a.Shard, s.Kind.isRequest()},
+			{"priority", a.Priority, a.Priority != 0},
+			{"tier", a.Tier, a.Tier != 0},
+		} {
+			if kv.set {
+				args[kv.k] = kv.v
+			}
 		}
 		dur := float64(s.Dur) / 1e3
 		if dur <= 0 {
 			// Zero-width slices render invisibly; give instantaneous
-			// spans a sliver so every lifecycle phase stays clickable.
+			// records a sliver so every one stays clickable.
 			dur = 0.001
 		}
 		evs = append(evs, chromeEvent{
@@ -98,8 +114,7 @@ func WriteChromeTrace(w io.Writer) error {
 			Args: args,
 		})
 	}
-	enc := json.NewEncoder(w)
-	return enc.Encode(chromeTrace{TraceEvents: evs, DisplayTimeUnit: "ms"})
+	return json.NewEncoder(w).Encode(chromeTrace{TraceEvents: evs, DisplayTimeUnit: "ms"})
 }
 
 // flowLine aggregates one lifecycle for the text timeline.
@@ -115,13 +130,13 @@ type flowLine struct {
 	verdicts []string
 }
 
-// WriteTimeline renders the span ring as a compact text timeline: one
-// line per lifecycle flow, phases in order with durations and attributes,
-// calls aggregated.  When reg is non-nil a header of per-phase histogram
-// summaries (the *_ns instruments) precedes the flows.
+// WriteTimeline renders the ring as a compact text timeline: one line
+// per lifecycle flow, kinds in order with durations and attributes,
+// repeated kinds aggregated.  When reg is non-nil a header of per-phase
+// histogram summaries (the *_ns instruments) precedes the flows.
 func WriteTimeline(w io.Writer, reg *telemetry.Registry) {
 	spans := Spans()
-	fmt.Fprintf(w, "trace: %d span(s) retained (ring capacity %d)\n", len(spans), spanCap)
+	fmt.Fprintf(w, "flightrec: %d record(s) retained (ring capacity %d)\n", len(spans), ringCap)
 	if reg != nil {
 		var hdr []string
 		reg.EachHistogram(func(name string, h *telemetry.Histogram) {
@@ -200,12 +215,12 @@ func fmtNS(ns int64) string {
 	return time.Duration(ns).Round(100 * time.Nanosecond).String()
 }
 
-// RegisterHTTP mounts the trace exporters on mux:
+// RegisterHTTP mounts the exporters on mux:
 //
 //	/trace      Chrome trace-event JSON (load in Perfetto / chrome://tracing)
 //	/trace.txt  compact text timeline (with reg's phase summaries if non-nil)
 //
-// Pair it with telemetry.NewMux to serve metrics and traces together.
+// Pair it with telemetry.NewMux to serve metrics and records together.
 func RegisterHTTP(mux *http.ServeMux, reg *telemetry.Registry) {
 	mux.HandleFunc("/trace", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "application/json")

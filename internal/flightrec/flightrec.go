@@ -1,352 +1,275 @@
-// Package flightrec is the per-request black box for the vcoded server:
-// a ring-buffered event recorder that captures, per request ID, every
-// decision the service made on the way to a response — the admission
-// verdict (rate limit, breaker, shed, queue, quota) with the request's
-// shed priority, the shard and cache verdict, the journal LSN behind a
-// durable ack, the engine and fuel of the sandboxed call, and the final
-// outcome code.  After an incident the ring reconstructs the full
-// admission→compile→journal→exec→outcome chain for any recent request
+// Package flightrec is the process's one event recorder: a lazily
+// allocated ring of fixed-shape records holding both the code-generation
+// lifecycle — compile → regalloc → emit → verify → install → call×N →
+// evict per generated function, plus cache lookups, pipeline batches and
+// superblock promotions — and the vcoded server's per-request decision
+// chain: the admission verdict, the shard and cache verdict, the journal
+// LSN behind a durable ack, the engine and fuel of the sandboxed call, and
+// the request record that carries the outcome.  After an incident the ring
+// reconstructs the admission→compile→journal→exec→outcome chain of any
+// recent request, and the compile→…→evict chain of the code it ran,
 // without ever having logged a line.
 //
-// It follows the same gating discipline as internal/trace and
-// internal/telemetry: one global atomic switch, and with it off an
-// instrumented call site pays a single atomic load and allocates nothing
-// (pinned by a zero-alloc test).  Begin returns nil when disabled and
-// every method is nil-receiver-safe, so call sites thread the handle
-// unconditionally.  With it on, recording an event is one mutex
-// acquisition and a struct copy into a preallocated ring.
+// There is one gate (SetEnabled), one epoch, one flow-ID allocator and
+// one set of exporters: Chrome trace-event JSON (/trace, loadable in
+// Perfetto), the text timeline (/trace.txt), and the per-request Event
+// view (Events) the diagnostic bundle ships as flight.json.  With the gate
+// off an instrumented site pays a single atomic load and allocates nothing
+// (pinned by a zero-alloc test); with it on, a record is one mutex
+// acquisition and a struct copy into the preallocated ring.
 //
-// On top of the ring sits bounded exemplar capture: the slowest-N
-// requests per rolling window and the most recent errored requests keep
-// their complete event chain (plus the trace flow/span ID), so the tail
-// and the failures stay reconstructible even after the ring has lapped.
+// Records of one function's lifecycle share a flow ID (see NextFlow);
+// exporters group by flow, so Perfetto shows one lane per generated
+// function, and a request's record joins the lane of the function it ran.
+//
+// On top of the ring sits bounded exemplar capture (request.go): the
+// slowest-N requests per rolling window and the most recent errored
+// requests keep their complete event chain, so the tail and the failures
+// stay reconstructible after the ring has lapped.
 package flightrec
 
 import (
-	"encoding/json"
-	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
 )
 
-// Stage identifies one decision point in a request's life.  The order
-// matches the request path: admission control, the shard cache, the
-// durability journal, the sandboxed call, the final outcome.
-type Stage uint8
+// Kind identifies what a record describes.  The lifecycle kinds come
+// first, in pipeline order: the jit front end compiles bytecode
+// (assigning registers on the way), the Asm emits target instructions,
+// the Machine verifies, installs, calls and eventually evicts the code.
+// The request kinds follow, in request-path order.
+type Kind uint8
 
 const (
-	// StageAdmit is the admission verdict: "ok" once past the rate
-	// limiter, breaker, shed watermarks, queue bound and tenant quotas,
-	// or the typed rejection code.  Priority carries the request's shed
-	// priority.
-	StageAdmit Stage = iota
-	// StageCache is the shard + cache verdict: "hit", "compiled",
-	// "coalesced" (another request's flight produced the function) or
-	// "error".
-	StageCache
-	// StageJournal is the durability decision: "durable" with the
-	// record's LSN once the group commit fsynced, "degraded" when the
-	// journal is failing and the ack goes out non-durable.
-	StageJournal
-	// StageExec is the sandboxed call: Detail carries the engine name,
-	// Fuel the steps consumed, DurNS the call wall time.
-	StageExec
-	// StageOutcome closes the chain: the response's verdict ("ok" or the
-	// error code) and the whole request's wall time.
-	StageOutcome
+	// KindCompile covers a whole front-end compilation (jit bytecode →
+	// VCODE emission); regalloc and emit nest inside it.
+	KindCompile Kind = iota
+	// KindRegalloc is register and spill-slot assignment.
+	KindRegalloc
+	// KindEmit covers v_lambda through v_end in the Asm.
+	KindEmit
+	// KindVerify is the pre-install static verifier.
+	KindVerify
+	// KindInstall is code placement, relocation and the memory copy.
+	KindInstall
+	// KindCall is one execution of an installed function.
+	KindCall
+	// KindEvict is code reclamation (cache eviction or Uninstall).
+	KindEvict
+	// KindLookup is a code-cache probe; its Verdict attribute records
+	// hit, miss, coalesced or negative.
+	KindLookup
+	// KindBatch covers one whole batch through the parallel compilation
+	// pipeline (internal/batch): fan-out compile plus the batched
+	// install.  N is the item count, Bytes the installed code bytes.
+	KindBatch
+	// KindSuperblock covers one tier-3 promotion: superblock formation
+	// from the tier-2 recording plus the optimized re-emission.  N is
+	// the trace's block count, Bytes the installed optimized body.
+	KindSuperblock
 
-	numStages = int(StageOutcome) + 1
+	// KindAdmit is a request's admission verdict: "ok" once past the
+	// rate limiter, breaker, shed watermarks, queue bound and tenant
+	// quotas, or the typed rejection code.
+	KindAdmit
+	// KindCache is a request's shard + cache verdict: "hit", "compiled",
+	// "coalesced" or "error".
+	KindCache
+	// KindJournal is a request's durability decision: "durable" with the
+	// record's LSN, or "degraded" when the ack goes out non-durable.
+	KindJournal
+	// KindExec is a request's sandboxed call: Detail carries the engine
+	// name, Fuel the steps consumed, and the record spans the call.
+	KindExec
+	// KindRequest is one whole server request, recorded once when it
+	// finishes: its Verdict is the outcome ("ok" or the error code), it
+	// spans admission to response, and its flow is the entry function's
+	// lifecycle flow when one was resolved.
+	KindRequest
+
+	numKinds = int(KindRequest) + 1
 )
 
-var stageNames = [numStages]string{"admit", "cache", "journal", "exec", "outcome"}
+var kindNames = [numKinds]string{
+	"compile", "regalloc", "emit", "verify", "install", "call", "evict",
+	"lookup", "batch", "superblock",
+	"admit", "cache", "journal", "exec", "request",
+}
 
-func (s Stage) String() string {
-	if int(s) < numStages {
-		return stageNames[s]
+func (k Kind) String() string {
+	if int(k) < numKinds {
+		return kindNames[k]
 	}
 	return "unknown"
 }
 
-// MarshalJSON renders the stage by name so bundle consumers (and humans)
-// never decode enum ordinals.
-func (s Stage) MarshalJSON() ([]byte, error) {
-	return []byte(`"` + s.String() + `"`), nil
+// isRequest reports whether k belongs to a server request's chain.
+func (k Kind) isRequest() bool { return k >= KindAdmit && int(k) < numKinds }
+
+// Attrs carries the kind-specific attributes.  It is a fixed struct
+// rather than a map so that recording never allocates; unused fields are
+// zero and elided by the exporters.
+type Attrs struct {
+	// Bytes is the code size the phase handled (emit/install/evict).
+	Bytes int64
+	// N is a kind-specific magnitude: source instructions for
+	// compile/emit, words checked for verify, simulator instructions
+	// retired for call.
+	N int64
+	// Fuel is the step budget a call consumed (0 when unlimited or
+	// unknown).
+	Fuel uint64
+	// LSN is the journal sequence number behind a durable ack.
+	LSN uint64
+	// Verdict is a short outcome label: "ok"/"reject" for verify,
+	// "hit"/"miss"/"coalesced"/"negative" for cache lookups, the
+	// decision or error code on request kinds.
+	Verdict string
+	// Detail is the (truncated) error text when the phase failed, or
+	// the engine name on a request's exec record.
+	Detail string
+	// Tenant, Key, Shard and Priority identify a request's tenant,
+	// program key, shard (-1 before one is chosen) and shed priority.
+	Tenant   string
+	Key      string
+	Shard    int32
+	Priority int8
+	// Tier is the execution tier that served an exec record: 1
+	// interpreted, 2 compiled, 3 superblock-optimized.
+	Tier int8
 }
 
-// UnmarshalJSON parses the stage name back — bundle tooling round-trips
-// rings through JSON.
-func (s *Stage) UnmarshalJSON(b []byte) error {
-	var name string
-	if err := json.Unmarshal(b, &name); err != nil {
-		return err
-	}
-	for i, n := range stageNames {
-		if n == name {
-			*s = Stage(i)
-			return nil
-		}
-	}
-	return fmt.Errorf("flightrec: unknown stage %q", name)
+// Span is one record in the ring.  Start is nanoseconds since the
+// recorder epoch (process-local, monotonic); Dur is the wall time the
+// record covers (zero for instantaneous decisions).
+type Span struct {
+	Seq     uint64
+	Flow    uint64 // lifecycle ID shared by all records of one function
+	Kind    Kind
+	Backend string
+	Name    string // function name; the request ID on request kinds
+	Start   int64  // ns since epoch
+	Dur     int64  // ns
+	Attrs   Attrs
 }
 
-// Event is one recorded decision.  It is a fixed-shape struct rather
-// than a map so recording never allocates; unused fields are zero.
-type Event struct {
-	Seq      uint64 `json:"seq"`
-	Time     int64  `json:"t_ns"` // ns since the recorder epoch
-	Stage    Stage  `json:"stage"`
-	ReqID    string `json:"request_id"`
-	Tenant   string `json:"tenant"`
-	Key      string `json:"key,omitempty"`
-	Verdict  string `json:"verdict"`
-	Detail   string `json:"detail,omitempty"` // engine name, truncated error
-	Shard    int32  `json:"shard"`            // -1 before a shard is chosen
-	Priority int8   `json:"priority"`
-	Fuel     uint64 `json:"fuel,omitempty"`
-	LSN      uint64 `json:"lsn,omitempty"`
-	DurNS    int64  `json:"dur_ns,omitempty"`
-	// Tier is the execution tier that served a StageExec event: 1
-	// interpreted, 2 compiled, 3 superblock-optimized.  Zero on stages
-	// where no tier applies (and in rings recorded before the field
-	// existed).
-	Tier int8 `json:"tier,omitempty"`
-}
-
-// enabled is the global gate; see the package comment.
+// enabled is the one gate; see the package comment.
 var enabled atomic.Bool
 
-// Enabled reports whether flight recording is on.
+// Enabled reports whether recording is on.
 func Enabled() bool { return enabled.Load() }
 
-// SetEnabled turns flight recording on or off (default off).  The ring
-// is allocated lazily on the first event, so a build that never records
+// SetEnabled turns recording on or off (default off).  The ring is
+// allocated lazily on the first record, so a process that never records
 // pays no memory.
 func SetEnabled(on bool) { enabled.Store(on) }
 
-// epoch anchors event timestamps; time.Since(epoch) uses the monotonic
-// clock so events order correctly across wall-clock adjustments.
+// flowSeq allocates lifecycle IDs; 0 means "no flow assigned yet".
+var flowSeq atomic.Uint64
+
+// NextFlow returns a fresh lifecycle ID.  All records of one generated
+// function should share the ID so exporters can reassemble the
+// compile→…→evict chain.
+func NextFlow() uint64 { return flowSeq.Add(1) }
+
+// epoch anchors timestamps.  time.Since(epoch) uses the monotonic clock,
+// so records order correctly even across wall-clock adjustments.
 var epoch = time.Now()
 
-// ringCap bounds the event ring: the most recent ringCap events are
-// retained.  Five-ish events per request means the ring holds the last
-// ~3000 requests.
-const ringCap = 16384
+// ringCap bounds the ring: the most recent ringCap records are retained.
+// At 176 bytes a record (64-bit hosts) the ring is about 4 MiB, allocated
+// lazily; it holds at least what the two rings it replaced held together.
+const ringCap = 24576
 
 var (
 	ringMu  sync.Mutex
-	ring    []Event // nil until the first event; len == ringCap after
+	ring    []Span // nil until the first record; len == ringCap after
 	ringSeq uint64
 )
 
-// chainCap bounds one request's retained chain: admit + cache + journal
-// + exec + outcome plus slack for repeated admission events.
-const chainCap = 10
-
-// Request is the per-request recording handle.  Begin returns nil when
-// recording is disabled and every method no-ops on a nil receiver, so
-// call sites never branch.  Handles are pooled; after Finish the handle
-// must not be used again.
-type Request struct {
-	reqID  string
-	tenant string
-	start  time.Time
-	n      int
-	events [chainCap]Event
-}
-
-var reqPool = sync.Pool{New: func() any { return new(Request) }}
-
-// Begin opens a request chain.  Returns nil (an inert handle) when
-// recording is disabled.
-func Begin(reqID, tenant string) *Request {
-	if !enabled.Load() {
-		return nil
-	}
-	r := reqPool.Get().(*Request)
-	r.reqID, r.tenant, r.start, r.n = reqID, tenant, time.Now(), 0
-	return r
-}
-
-// Event records one decision on the request's chain and in the global
-// ring.  The caller fills the stage-specific fields; Seq, Time, ReqID
-// and Tenant are stamped here.
-func (r *Request) Event(stage Stage, e Event) {
-	if r == nil {
-		return
-	}
-	e.Stage = stage
-	e.Time = time.Since(epoch).Nanoseconds()
-	e.ReqID = r.reqID
-	e.Tenant = r.tenant
+// put stamps sp with the next sequence number and copies it into the
+// ring, returning the sequence number.  The caller builds the record
+// outside the lock; the critical section is the slot copy alone.
+func put(sp *Span) uint64 {
 	ringMu.Lock()
 	if ring == nil {
-		ring = make([]Event, ringCap)
+		ring = make([]Span, ringCap)
 	}
-	e.Seq = ringSeq
-	ring[ringSeq%ringCap] = e
+	sp.Seq = ringSeq
+	ring[ringSeq%ringCap] = *sp
 	ringSeq++
 	ringMu.Unlock()
-	if r.n < chainCap {
-		r.events[r.n] = e
-		r.n++
-	}
+	return sp.Seq
 }
 
-// Finish closes the chain with a StageOutcome event (outcome "ok" or the
-// error code, detail the truncated error text, flow the trace span/flow
-// ID when known), runs exemplar retention, and returns the handle to the
-// pool.  The handle must not be used afterwards.
-func (r *Request) Finish(outcome, detail string, flow uint64) {
-	if r == nil {
+// Active is an in-flight span handle returned by StartSpan.  It is a
+// value — holding one costs no allocation — and End on a zero Active is a
+// no-op, so call sites can unconditionally End a handle they
+// conditionally started.
+type Active struct {
+	start   time.Time
+	backend string
+	name    string
+	kind    Kind
+	live    bool
+}
+
+// StartSpan opens a span if recording is enabled; otherwise it returns an
+// inert handle.  The flow ID is supplied at End because many call sites
+// only learn it after the phase completes (e.g. the compile span learns
+// its function's flow from the assembled Func).
+func StartSpan(kind Kind, backend, name string) Active {
+	if !enabled.Load() {
+		return Active{}
+	}
+	return Active{start: time.Now(), backend: backend, name: name, kind: kind, live: true}
+}
+
+// End closes the span and records it.  No-op on an inert handle or if
+// recording was disabled mid-span.
+func (a Active) End(flow uint64, at Attrs) {
+	if !a.live || !enabled.Load() {
 		return
 	}
-	dur := time.Since(r.start).Nanoseconds()
-	r.Event(StageOutcome, Event{Verdict: outcome, Detail: detail, Shard: -1, DurNS: dur})
-	retain(r, outcome, flow, dur)
-	r.reqID, r.tenant, r.n = "", "", 0
-	reqPool.Put(r)
+	Record(a.kind, a.backend, a.name, flow, a.start, time.Since(a.start), at)
 }
 
-// --- exemplars ---
-
-// Exemplar is one retained request: its identity, outcome, the trace
-// flow/span ID that joins it to the lifecycle tracer, and a copy of its
-// complete event chain.
-type Exemplar struct {
-	ReqID   string  `json:"request_id"`
-	Tenant  string  `json:"tenant"`
-	Outcome string  `json:"outcome"`
-	Flow    uint64  `json:"flow,omitempty"` // trace span/flow ID
-	StartNS int64   `json:"start_ns"`       // ns since the recorder epoch
-	DurNS   int64   `json:"dur_ns"`
-	Events  []Event `json:"events"`
-}
-
-const (
-	// slowCap bounds the slowest-request exemplars kept per window.
-	slowCap = 8
-	// errCap bounds the errored-request exemplars (a ring of the most
-	// recent; "every errored request" up to this retention).
-	errCap = 32
-)
-
-var (
-	exMu       sync.Mutex
-	exWindow   = int64(60 * time.Second) // rotation period, ns
-	exWindowAt int64                     // current window's start, ns since epoch
-	slowCur    []Exemplar                // slowest-N of the current window
-	slowPrev   []Exemplar                // the completed previous window
-	errRing    [errCap]Exemplar
-	errSeq     uint64
-	exRetained atomic.Uint64 // exemplars admitted (slow + errored)
-)
-
-// SetWindow changes the slowest-N rotation window (default 60s).
-func SetWindow(d time.Duration) {
-	exMu.Lock()
-	exWindow = d.Nanoseconds()
-	exMu.Unlock()
-}
-
-func retain(r *Request, outcome string, flow uint64, dur int64) {
-	errored := outcome != "ok"
-	now := time.Since(epoch).Nanoseconds()
-	exMu.Lock()
-	defer exMu.Unlock()
-	if now-exWindowAt >= exWindow {
-		slowPrev, slowCur = slowCur, nil
-		exWindowAt = now
-	}
-	// Slowest-N admission: fill up, then displace the fastest member.
-	slowIdx := -1
-	if len(slowCur) < slowCap {
-		slowIdx = len(slowCur)
-		slowCur = append(slowCur, Exemplar{})
-	} else {
-		min := 0
-		for i := 1; i < len(slowCur); i++ {
-			if slowCur[i].DurNS < slowCur[min].DurNS {
-				min = i
-			}
-		}
-		if dur > slowCur[min].DurNS {
-			slowIdx = min
-		}
-	}
-	if slowIdx < 0 && !errored {
+// Record appends one record with caller-measured timing.  It is a no-op
+// (one atomic load) unless recording is enabled.  Use it where the caller
+// already times the phase for telemetry; use StartSpan/End otherwise.
+func Record(kind Kind, backend, name string, flow uint64, start time.Time, dur time.Duration, at Attrs) {
+	if !enabled.Load() {
 		return
 	}
-	ex := Exemplar{
-		ReqID:   r.reqID,
-		Tenant:  r.tenant,
-		Outcome: outcome,
+	sp := Span{
 		Flow:    flow,
-		StartNS: now - dur,
-		DurNS:   dur,
-		Events:  append([]Event(nil), r.events[:r.n]...),
+		Kind:    kind,
+		Backend: backend,
+		Name:    name,
+		Start:   start.Sub(epoch).Nanoseconds(),
+		Dur:     dur.Nanoseconds(),
+		Attrs:   at,
 	}
-	if slowIdx >= 0 {
-		slowCur[slowIdx] = ex
-		exRetained.Add(1)
-	}
-	if errored {
-		errRing[errSeq%errCap] = ex
-		errSeq++
-		exRetained.Add(1)
-	}
+	put(&sp)
 }
 
-// ExemplarSet is the Exemplars snapshot.
-type ExemplarSet struct {
-	// Slowest merges the current and previous windows, slowest first.
-	Slowest []Exemplar `json:"slowest"`
-	// Errored is the retained errored requests, oldest first.
-	Errored []Exemplar `json:"errored"`
-}
-
-// Exemplars snapshots the retained exemplars.
-func Exemplars() ExemplarSet {
-	exMu.Lock()
-	defer exMu.Unlock()
-	var set ExemplarSet
-	set.Slowest = append(append([]Exemplar(nil), slowCur...), slowPrev...)
-	for i := 0; i+1 < len(set.Slowest); i++ {
-		for j := i + 1; j < len(set.Slowest); j++ {
-			if set.Slowest[j].DurNS > set.Slowest[i].DurNS {
-				set.Slowest[i], set.Slowest[j] = set.Slowest[j], set.Slowest[i]
-			}
-		}
-	}
-	n := errSeq
-	if n > errCap {
-		n = errCap
-	}
-	for i := errSeq - n; i < errSeq; i++ {
-		set.Errored = append(set.Errored, errRing[i%errCap])
-	}
-	return set
-}
-
-// Retained reports how many exemplars were ever admitted.
-func Retained() uint64 { return exRetained.Load() }
-
-// Events snapshots the ring, oldest first.
-func Events() []Event {
+// Spans snapshots the ring, oldest first.
+func Spans() []Span {
 	ringMu.Lock()
 	defer ringMu.Unlock()
 	n := ringSeq
 	if n > ringCap {
 		n = ringCap
 	}
-	out := make([]Event, 0, n)
+	out := make([]Span, 0, n)
 	for i := ringSeq - n; i < ringSeq; i++ {
 		out = append(out, ring[i%ringCap])
 	}
 	return out
 }
 
-// Len reports how many events are currently retained (bounded by the
+// Len reports how many records are currently retained (bounded by the
 // ring capacity regardless of how many were ever recorded).
 func Len() int {
 	ringMu.Lock()
@@ -357,14 +280,10 @@ func Len() int {
 	return int(ringSeq)
 }
 
-// Reset discards all recorded events and exemplars (ring memory kept).
+// Reset discards all records and exemplars (the ring memory is kept).
 func Reset() {
 	ringMu.Lock()
 	ringSeq = 0
 	ringMu.Unlock()
-	exMu.Lock()
-	slowCur, slowPrev = nil, nil
-	errSeq = 0
-	exWindowAt = time.Since(epoch).Nanoseconds()
-	exMu.Unlock()
+	resetExemplars()
 }

@@ -22,6 +22,9 @@ func withRecording(t *testing.T, on bool) {
 	})
 }
 
+// TestDisabledZeroAlloc pins the disabled request-chain path at zero
+// allocations: Begin, Event and Finish are a single atomic load when
+// recording is off.
 func TestDisabledZeroAlloc(t *testing.T) {
 	withRecording(t, false)
 	allocs := testing.AllocsPerRun(1000, func() {
@@ -31,7 +34,51 @@ func TestDisabledZeroAlloc(t *testing.T) {
 		fr.Finish("ok", "", 0)
 	})
 	if allocs != 0 {
-		t.Fatalf("disabled flight recording allocated %v times per request, want 0", allocs)
+		t.Fatalf("disabled recording allocated %v times per op, want 0", allocs)
+	}
+}
+
+// TestOneRingBothViews pins the merge: lifecycle records and request
+// records share one ring and one sequence, Events() is the request-kind
+// subset with matching sequence numbers, and the request record carries
+// the outcome, the whole request's duration and the function's flow.
+func TestOneRingBothViews(t *testing.T) {
+	withRecording(t, true)
+	flow := NextFlow()
+	fr := Begin("r7", "acme")
+	fr.Event(StageCache, Event{Verdict: "hit", Key: "k", Shard: 1})
+	Record(KindCall, "mips", "f", flow, time.Now(), time.Microsecond, Attrs{N: 9})
+	fr.Event(StageExec, Event{Verdict: "ok", Shard: 1, DurNS: 1000, Tier: 2})
+	fr.Finish("ok", "", flow)
+
+	spans := Spans()
+	wantKinds := []Kind{KindCache, KindCall, KindExec, KindRequest}
+	if len(spans) != len(wantKinds) {
+		t.Fatalf("ring holds %d records, want %d", len(spans), len(wantKinds))
+	}
+	for i, s := range spans {
+		if s.Kind != wantKinds[i] || s.Seq != uint64(i) {
+			t.Fatalf("record %d = %v seq %d, want %v seq %d", i, s.Kind, s.Seq, wantKinds[i], i)
+		}
+	}
+	req := spans[3]
+	if req.Flow != flow || req.Name != "r7" || req.Attrs.Verdict != "ok" || req.Dur <= 0 {
+		t.Fatalf("request record = %+v, want flow %d, r7, ok, positive duration", req, flow)
+	}
+	evs := Events()
+	if len(evs) != 3 {
+		t.Fatalf("Events() = %d, want the 3 request-kind records", len(evs))
+	}
+	for i, want := range []uint64{0, 2, 3} {
+		if evs[i].Seq != want {
+			t.Fatalf("event %d seq %d, want %d", i, evs[i].Seq, want)
+		}
+	}
+	if evs[2].Stage != StageOutcome || evs[2].DurNS != req.Dur || evs[2].Tenant != "acme" {
+		t.Fatalf("outcome event = %+v", evs[2])
+	}
+	if evs[1].Tier != 2 || evs[1].DurNS != 1000 {
+		t.Fatalf("exec event = %+v", evs[1])
 	}
 }
 

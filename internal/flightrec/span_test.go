@@ -1,4 +1,4 @@
-package trace
+package flightrec
 
 import (
 	"bytes"
@@ -12,20 +12,8 @@ import (
 	"repro/internal/telemetry"
 )
 
-// withTracing flips the global gate for one test and restores a clean
-// ring afterwards.
-func withTracing(t *testing.T, on bool) {
-	t.Helper()
-	Reset()
-	SetEnabled(on)
-	t.Cleanup(func() {
-		SetEnabled(false)
-		Reset()
-	})
-}
-
 func TestSpanRingOrderAndReset(t *testing.T) {
-	withTracing(t, true)
+	withRecording(t, true)
 	flow := NextFlow()
 	for i := 0; i < 5; i++ {
 		Record(KindCall, "mips", "f", flow, time.Now(), time.Microsecond, Attrs{N: int64(i)})
@@ -49,31 +37,31 @@ func TestSpanRingOrderAndReset(t *testing.T) {
 }
 
 func TestRingBounded(t *testing.T) {
-	withTracing(t, true)
-	for i := 0; i < spanCap+100; i++ {
+	withRecording(t, true)
+	for i := 0; i < ringCap+100; i++ {
 		Record(KindCall, "mips", "f", 1, time.Now(), 0, Attrs{N: int64(i)})
 	}
-	if Len() != spanCap {
-		t.Fatalf("Len = %d, want ring capacity %d", Len(), spanCap)
+	if Len() != ringCap {
+		t.Fatalf("Len = %d, want ring capacity %d", Len(), ringCap)
 	}
 	spans := Spans()
-	if len(spans) != spanCap {
-		t.Fatalf("got %d spans, want %d", len(spans), spanCap)
+	if len(spans) != ringCap {
+		t.Fatalf("got %d spans, want %d", len(spans), ringCap)
 	}
 	// Oldest retained span is the 100th recorded; newest is the last.
-	if spans[0].Attrs.N != 100 || spans[len(spans)-1].Attrs.N != spanCap+99 {
+	if spans[0].Attrs.N != 100 || spans[len(spans)-1].Attrs.N != ringCap+99 {
 		t.Fatalf("ring window wrong: first N=%d last N=%d", spans[0].Attrs.N, spans[len(spans)-1].Attrs.N)
 	}
 }
 
 // TestDisabledSpanEmitZeroAlloc pins the acceptance criterion that the
-// disabled span-emit path allocates nothing: Begin/End and Record must be
-// a single atomic load when tracing is off.
+// disabled span-emit path allocates nothing: StartSpan/End and Record must
+// be a single atomic load when recording is off.
 func TestDisabledSpanEmitZeroAlloc(t *testing.T) {
-	withTracing(t, false)
+	withRecording(t, false)
 	var start time.Time
 	if n := testing.AllocsPerRun(1000, func() {
-		a := Begin(KindEmit, "mips", "f")
+		a := StartSpan(KindEmit, "mips", "f")
 		a.End(7, Attrs{Bytes: 64, N: 16})
 		Record(KindCall, "mips", "f", 7, start, time.Microsecond, Attrs{Fuel: 100})
 	}); n != 0 {
@@ -84,7 +72,7 @@ func TestDisabledSpanEmitZeroAlloc(t *testing.T) {
 // TestEnabledRecordZeroAlloc pins the record path itself: once the ring
 // exists, recording a span copies into preallocated storage.
 func TestEnabledRecordZeroAlloc(t *testing.T) {
-	withTracing(t, true)
+	withRecording(t, true)
 	Record(KindCall, "mips", "warm", 1, time.Now(), 0, Attrs{}) // allocate the ring
 	start := time.Now()
 	if n := testing.AllocsPerRun(1000, func() {
@@ -98,7 +86,7 @@ func TestEnabledRecordZeroAlloc(t *testing.T) {
 // snapshot it, asserting bounded memory and no torn records (run under
 // -race in CI).
 func TestSpanRingConcurrent(t *testing.T) {
-	withTracing(t, true)
+	withRecording(t, true)
 	const writers, perWriter = 8, 2000
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
@@ -114,7 +102,7 @@ func TestSpanRingConcurrent(t *testing.T) {
 				default:
 				}
 				spans := Spans()
-				if len(spans) > spanCap {
+				if len(spans) > ringCap {
 					t.Error("snapshot exceeds ring capacity")
 					return
 				}
@@ -134,7 +122,7 @@ func TestSpanRingConcurrent(t *testing.T) {
 			defer wrs.Done()
 			name := fmt.Sprintf("w%d", wr)
 			for i := 0; i < perWriter; i++ {
-				a := Begin(KindCall, "mips", name)
+				a := StartSpan(KindCall, "mips", name)
 				a.End(uint64(wr+1), Attrs{N: int64(i)})
 			}
 		}(wr)
@@ -148,8 +136,8 @@ func TestSpanRingConcurrent(t *testing.T) {
 	wrs.Wait()
 	close(stop)
 	wg.Wait()
-	if got := Len(); got > spanCap {
-		t.Fatalf("ring grew past capacity: %d > %d", got, spanCap)
+	if got := Len(); got > ringCap {
+		t.Fatalf("ring grew past capacity: %d > %d", got, ringCap)
 	}
 	// Every retained span must be one of the two shapes written — a torn
 	// write would mix fields across them.
@@ -183,7 +171,7 @@ func recordLifecycle(flow uint64, name string) {
 }
 
 func TestWriteChromeTraceParsesWithLifecycleChain(t *testing.T) {
-	withTracing(t, true)
+	withRecording(t, true)
 	f1, f2 := NextFlow(), NextFlow()
 	recordLifecycle(f1, "alpha_fn")
 	recordLifecycle(f2, "beta_fn")
@@ -234,7 +222,7 @@ func TestWriteChromeTraceParsesWithLifecycleChain(t *testing.T) {
 }
 
 func TestWriteTimeline(t *testing.T) {
-	withTracing(t, true)
+	withRecording(t, true)
 	reg := telemetry.NewRegistry()
 	h := reg.Histogram("codegen.mips.emit_ns", nil)
 	for _, v := range []uint64{500, 1500, 3000} {

@@ -6,10 +6,10 @@ import (
 
 	"repro/internal/alpha"
 	"repro/internal/core"
+	"repro/internal/flightrec"
 	"repro/internal/mem"
 	"repro/internal/mips"
 	"repro/internal/sparc"
-	"repro/internal/trace"
 )
 
 // Machine owns a simulated target for JIT-compiled bytecode.  Compile may
@@ -77,7 +77,7 @@ func (m *Machine) Compile(f *Func) (*core.Func, error) {
 // returned Func does not alias it.
 func CompileInto(a *core.Asm, f *Func) (*core.Func, error) {
 	backend := a.Backend()
-	comp := trace.Begin(trace.KindCompile, backend.Name(), f.Name)
+	comp := flightrec.StartSpan(flightrec.KindCompile, backend.Name(), f.Name)
 	maxDepth, err := f.Validate()
 	if err != nil {
 		return nil, err
@@ -95,7 +95,7 @@ func CompileInto(a *core.Asm, f *Func) (*core.Func, error) {
 	// Register assignment: locals first (persistent), then one register
 	// per operand-stack slot (temporaries — the stack is empty across
 	// no call, and this machine has no calls).
-	ra := trace.Begin(trace.KindRegalloc, backend.Name(), f.Name)
+	ra := flightrec.StartSpan(flightrec.KindRegalloc, backend.Name(), f.Name)
 	vars := make([]core.Reg, f.NVars)
 	for i := range vars {
 		if vars[i], err = a.GetReg(core.Var); err != nil {
@@ -108,7 +108,7 @@ func CompileInto(a *core.Asm, f *Func) (*core.Func, error) {
 			return nil, fmt.Errorf("jit: %s: stack depth %d exceeds registers: %w", f.Name, maxDepth, err)
 		}
 	}
-	ra.End(a.TraceFlow(), trace.Attrs{N: int64(len(vars) + len(slots))})
+	ra.End(a.TraceFlow(), flightrec.Attrs{N: int64(len(vars) + len(slots))})
 
 	labels := make([]core.Label, len(f.Code))
 	needLabel := make([]bool, len(f.Code))
@@ -263,7 +263,7 @@ func CompileInto(a *core.Asm, f *Func) (*core.Func, error) {
 	if err != nil {
 		return nil, err
 	}
-	comp.End(fn.TraceFlow(), trace.Attrs{N: int64(len(f.Code)), Bytes: int64(fn.SizeBytes())})
+	comp.End(fn.TraceFlow(), flightrec.Attrs{N: int64(len(f.Code)), Bytes: int64(fn.SizeBytes())})
 	return fn, nil
 }
 

@@ -6,9 +6,9 @@ import (
 	"sync/atomic"
 
 	"repro/internal/core"
+	"repro/internal/flightrec"
 	"repro/internal/profile"
 	"repro/internal/superblock"
-	"repro/internal/trace"
 )
 
 // SuperblockConfig enables the third execution tier: once a function has
@@ -182,7 +182,7 @@ func (ad *Adaptive) formSuperblock(key string, f *Func, fn2 *core.Func) {
 		park := func(until int64) {
 			st.retryAt.Store(until)
 		}
-		sp := trace.Begin(trace.KindSuperblock, bk.Name(), f.Name)
+		sp := flightrec.StartSpan(flightrec.KindSuperblock, bk.Name(), f.Name)
 
 		// Re-derive the portable-emission recording.  CompileInto is
 		// deterministic, so the recording's event sites are the word
@@ -191,18 +191,18 @@ func (ad *Adaptive) formSuperblock(key string, f *Func, fn2 *core.Func) {
 		a := core.NewAsm(bk)
 		a.Record(true)
 		if _, err := CompileInto(a, f); err != nil {
-			sp.End(fn2.TraceFlow(), trace.Attrs{Verdict: "compile-error"})
+			sp.End(fn2.TraceFlow(), flightrec.Attrs{Verdict: "compile-error"})
 			park(math.MaxInt64)
 			return
 		}
 		rec := a.TakeRecording()
 		if rec == nil {
-			sp.End(fn2.TraceFlow(), trace.Attrs{Verdict: "no-recording"})
+			sp.End(fn2.TraceFlow(), flightrec.Attrs{Verdict: "no-recording"})
 			park(math.MaxInt64)
 			return
 		}
 		if ok, _ := rec.Eligible(); !ok {
-			sp.End(fn2.TraceFlow(), trace.Attrs{Verdict: "ineligible"})
+			sp.End(fn2.TraceFlow(), flightrec.Attrs{Verdict: "ineligible"})
 			park(math.MaxInt64)
 			return
 		}
@@ -216,7 +216,7 @@ func (ad *Adaptive) formSuperblock(key string, f *Func, fn2 *core.Func) {
 		counter := st.counter
 		st.mu.Unlock()
 		if counter == 0 {
-			sp.End(fn2.TraceFlow(), trace.Attrs{Verdict: "no-counter"})
+			sp.End(fn2.TraceFlow(), flightrec.Attrs{Verdict: "no-counter"})
 			park(ad.hot.Get(key) + cfg.Cooldown)
 			return
 		}
@@ -231,24 +231,24 @@ func (ad *Adaptive) formSuperblock(key string, f *Func, fn2 *core.Func) {
 		opt.CounterAddr = counter
 		plan, err := superblock.Form(rec, bias, opt)
 		if err != nil {
-			sp.End(fn2.TraceFlow(), trace.Attrs{Verdict: "form-error"})
+			sp.End(fn2.TraceFlow(), flightrec.Attrs{Verdict: "form-error"})
 			park(math.MaxInt64)
 			return
 		}
 		if !plan.Interesting() {
 			// Nothing decisive yet: keep training, retry later.
-			sp.End(fn2.TraceFlow(), trace.Attrs{Verdict: "indecisive"})
+			sp.End(fn2.TraceFlow(), flightrec.Attrs{Verdict: "indecisive"})
 			park(ad.hot.Get(key) + cfg.Cooldown)
 			return
 		}
 		fn3, _, err := plan.Compile(core.NewAsm(bk))
 		if err != nil {
-			sp.End(fn2.TraceFlow(), trace.Attrs{Verdict: "emit-error"})
+			sp.End(fn2.TraceFlow(), flightrec.Attrs{Verdict: "emit-error"})
 			park(math.MaxInt64)
 			return
 		}
 		if err := ad.m.Core().Install(fn3); err != nil {
-			sp.End(fn2.TraceFlow(), trace.Attrs{Verdict: "install-error"})
+			sp.End(fn2.TraceFlow(), flightrec.Attrs{Verdict: "install-error"})
 			park(ad.hot.Get(key) + cfg.Cooldown)
 			return
 		}
@@ -259,7 +259,7 @@ func (ad *Adaptive) formSuperblock(key string, f *Func, fn2 *core.Func) {
 		st.fn = fn3
 		st.mu.Unlock()
 		superblock.NoteInstalled()
-		sp.End(fn3.TraceFlow(), trace.Attrs{
+		sp.End(fn3.TraceFlow(), flightrec.Attrs{
 			N: int64(plan.TraceBlocks()), Bytes: int64(fn3.SizeBytes()), Verdict: "installed"})
 	}()
 }

@@ -5,16 +5,16 @@ import (
 	"encoding/json"
 	"testing"
 
+	"repro/internal/flightrec"
 	"repro/internal/jit"
 	"repro/internal/mem"
-	"repro/internal/trace"
 )
 
 // lifecycle is the complete generate-install-execute-evict span chain
 // one function must leave in the flight recorder.
-var lifecycle = []trace.Kind{
-	trace.KindCompile, trace.KindRegalloc, trace.KindEmit,
-	trace.KindVerify, trace.KindInstall, trace.KindCall, trace.KindEvict,
+var lifecycle = []flightrec.Kind{
+	flightrec.KindCompile, flightrec.KindRegalloc, flightrec.KindEmit,
+	flightrec.KindVerify, flightrec.KindInstall, flightrec.KindCall, flightrec.KindEvict,
 }
 
 // TestLifecycleTraceAllTargets drives compile → run → evict on each port
@@ -22,11 +22,11 @@ var lifecycle = []trace.Kind{
 // chain together — the property the Chrome-trace export renders as one
 // Perfetto lane per function.
 func TestLifecycleTraceAllTargets(t *testing.T) {
-	trace.SetEnabled(true)
-	defer func() { trace.SetEnabled(false); trace.Reset() }()
+	flightrec.SetEnabled(true)
+	defer func() { flightrec.SetEnabled(false); flightrec.Reset() }()
 
 	for _, target := range []string{"mips", "sparc", "alpha"} {
-		trace.Reset()
+		flightrec.Reset()
 		m, err := jit.NewMachineTarget(target, mem.Uncosted)
 		if err != nil {
 			t.Fatal(err)
@@ -48,8 +48,8 @@ func TestLifecycleTraceAllTargets(t *testing.T) {
 		if flow == 0 {
 			t.Fatalf("%s: function has no trace flow after traced lifecycle", target)
 		}
-		kinds := map[trace.Kind]int{}
-		for _, s := range trace.Spans() {
+		kinds := map[flightrec.Kind]int{}
+		for _, s := range flightrec.Spans() {
 			if s.Flow != flow {
 				continue
 			}
@@ -66,14 +66,14 @@ func TestLifecycleTraceAllTargets(t *testing.T) {
 				t.Errorf("%s: lifecycle flow %d missing %v span (have %v)", target, flow, k, kinds)
 			}
 		}
-		if kinds[trace.KindCall] != 3 {
-			t.Errorf("%s: call spans = %d, want 3", target, kinds[trace.KindCall])
+		if kinds[flightrec.KindCall] != 3 {
+			t.Errorf("%s: call spans = %d, want 3", target, kinds[flightrec.KindCall])
 		}
 
 		// The exported Chrome trace must parse and keep the chain on one
 		// tid (Perfetto lane).
 		var buf bytes.Buffer
-		if err := trace.WriteChromeTrace(&buf); err != nil {
+		if err := flightrec.WriteChromeTrace(&buf); err != nil {
 			t.Fatal(err)
 		}
 		var doc struct {
@@ -105,9 +105,9 @@ func TestLifecycleTraceAllTargets(t *testing.T) {
 // call that fails because the function was evicted still records a call
 // span carrying the error, so traces never show a silent gap.
 func TestEvictedCallKeepsTrace(t *testing.T) {
-	trace.SetEnabled(true)
-	defer func() { trace.SetEnabled(false); trace.Reset() }()
-	trace.Reset()
+	flightrec.SetEnabled(true)
+	defer func() { flightrec.SetEnabled(false); flightrec.Reset() }()
+	flightrec.Reset()
 
 	m, err := jit.NewMachineTarget("mips", mem.Uncosted)
 	if err != nil {
@@ -126,8 +126,8 @@ func TestEvictedCallKeepsTrace(t *testing.T) {
 	// Post-eviction the machine reinstalls on demand; force the
 	// not-installed path through the core call instead.
 	var evictSeen bool
-	for _, s := range trace.Spans() {
-		if s.Flow == fn.TraceFlow() && s.Kind == trace.KindEvict {
+	for _, s := range flightrec.Spans() {
+		if s.Flow == fn.TraceFlow() && s.Kind == flightrec.KindEvict {
 			evictSeen = true
 			if s.Attrs.Bytes == 0 {
 				t.Error("evict span carries no reclaimed-bytes attribute")

@@ -14,15 +14,15 @@ import (
 	"time"
 
 	"repro/internal/flightrec"
-	"repro/internal/trace"
 )
 
 // The diagnostic bundle is the server's one-request incident artifact:
 // a gzipped tar whose entries snapshot everything an operator needs to
-// reconstruct what the service was doing — the flight-recorder ring and
-// its exemplars (per-request decision chains keyed by request ID), the
-// metrics registry (raw and summarized), the lifecycle trace ring, a
-// full goroutine dump, the shard/arena/tenant stats document, the SLO
+// reconstruct what the service was doing — the flight-recorder ring
+// (its per-request decision chains keyed by request ID as flight.json,
+// every record as Chrome trace-event JSON in trace.json, both from one
+// snapshot) and its exemplars, the metrics registry (raw and
+// summarized), a full goroutine dump, the shard/arena/tenant stats document, the SLO
 // view, and the journal/snapshot positions that anchor durability
 // claims.  It is served at /debug/bundle, captured by the SIGQUIT and
 // panic handlers in cmd/vcoded, and saved by the soak drivers on
@@ -57,14 +57,16 @@ func (s *Server) bundleEntries() []bundleEntry {
 		"go_version":     runtime.Version(),
 		"goroutines":     runtime.NumGoroutine(),
 		"flight_enabled": flightrec.Enabled(),
-		"trace_enabled":  trace.Enabled(),
 	}
+	spans := flightrec.Spans()
+	var chrome bytes.Buffer
+	_ = flightrec.WriteChrome(&chrome, spans) // a bytes.Buffer write cannot fail
 	entries := []bundleEntry{
 		jsonEntry("meta.json", meta),
-		jsonEntry("flight.json", flightrec.Events()),
+		jsonEntry("flight.json", flightrec.EventsOf(spans)),
 		jsonEntry("exemplars.json", flightrec.Exemplars()),
 		jsonEntry("stats.json", s.StatsView()),
-		jsonEntry("trace.json", trace.Spans()),
+		{name: "trace.json", data: chrome.Bytes()},
 	}
 
 	var metrics bytes.Buffer

@@ -226,3 +226,69 @@ func keys(m map[string][]byte) []string {
 	}
 	return out
 }
+
+// TestBundleFlightInTrace asserts the bundle's flight.json and trace.json
+// come from one ring snapshot: every request record in flight.json
+// appears in the Chrome trace with the same sequence number and stage,
+// and the trace also carries the lifecycle of the code the request ran.
+func TestBundleFlightInTrace(t *testing.T) {
+	withFlightRecording(t)
+	srv, ts := newTestServer(t, nil)
+	status, out := post(t, ts, "/v1/exec", map[string]any{
+		"tenant": "alice", "lang": "tinyc", "source": fibTinyC,
+		"args": []int{10}, "request_id": "seq-1",
+	})
+	if status != http.StatusOK {
+		t.Fatalf("exec = %d %v", status, out)
+	}
+	var buf bytes.Buffer
+	if err := srv.WriteBundle(&buf); err != nil {
+		t.Fatal(err)
+	}
+	files := readBundle(t, buf.Bytes())
+	var events []flightrec.Event
+	if err := json.Unmarshal(files["flight.json"], &events); err != nil {
+		t.Fatalf("flight.json: %v", err)
+	}
+	var doc struct {
+		TraceEvents []struct {
+			Name string         `json:"name"`
+			Ph   string         `json:"ph"`
+			Args map[string]any `json:"args"`
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(files["trace.json"], &doc); err != nil {
+		t.Fatalf("trace.json: %v", err)
+	}
+	bySeq := map[uint64]string{}
+	for _, ev := range doc.TraceEvents {
+		if ev.Ph == "X" {
+			bySeq[uint64(ev.Args["seq"].(float64))] = ev.Name
+		}
+	}
+	if len(chainFor(events, "seq-1")) < 4 {
+		t.Fatalf("flight.json chain for seq-1 too short: %+v", events)
+	}
+	for _, e := range events {
+		name, ok := bySeq[e.Seq]
+		if !ok {
+			t.Fatalf("flight.json record seq %d (%s) missing from trace.json", e.Seq, e.Stage)
+		}
+		want := e.Stage.String()
+		if e.Stage == flightrec.StageOutcome {
+			want = flightrec.KindRequest.String()
+		}
+		if name != want {
+			t.Fatalf("seq %d is %q in trace.json, %q in flight.json", e.Seq, name, want)
+		}
+	}
+	for _, k := range []flightrec.Kind{flightrec.KindEmit, flightrec.KindVerify, flightrec.KindInstall, flightrec.KindCall} {
+		found := false
+		for _, n := range bySeq {
+			found = found || n == k.String()
+		}
+		if !found {
+			t.Fatalf("trace.json has no %v record", k)
+		}
+	}
+}

@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/flightrec"
 	"repro/internal/telemetry"
-	"repro/internal/trace"
 )
 
 // request is the JSON body shared by /v1/exec and /v1/compile.  A body
@@ -34,7 +33,7 @@ type request struct {
 	Args []json.Number `json:"args"`
 	// Fuel lowers (never raises) the tenant's per-call step budget.
 	Fuel uint64 `json:"fuel"`
-	// RequestID is echoed back and stamped onto trace spans; minted
+	// RequestID is echoed back and stamped onto flight records; minted
 	// when absent.
 	RequestID string `json:"request_id"`
 	// Priority is this request's shed priority, 0–9 (9 sheds last);
@@ -87,11 +86,11 @@ type errorResponse struct {
 const maxBodyBytes = 1 << 20 // source programs are small; cap abuse
 
 // Handler builds the server's mux: the v1 API plus the observability
-// surface (telemetry /metrics, lifecycle /trace, health /healthz
+// surface (telemetry /metrics, flight-recorder /trace, health /healthz
 // /readyz) on the same listener.
 func (s *Server) Handler() *http.ServeMux {
 	mux := telemetry.NewMux(s.cfg.Registry)
-	trace.RegisterHTTP(mux, s.cfg.Registry)
+	flightrec.RegisterHTTP(mux, s.cfg.Registry)
 	telemetry.RegisterHealth(mux, s.health)
 	mux.HandleFunc("/v1/exec", s.handleExec)
 	mux.HandleFunc("/v1/compile", s.handleCompile)
@@ -150,14 +149,12 @@ func (s *Server) handleExec(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	reqID := s.requestID(req.RequestID)
-	sp := trace.Begin(trace.KindRequest, s.cfg.Backend, req.Tenant+"/"+reqID)
 	fr := flightrec.Begin(reqID, req.Tenant)
 
 	t, ae := s.tenants.get(req.Tenant)
 	if ae != nil {
 		s.requests.Inc()
 		s.errorsAll.Inc()
-		sp.End(0, trace.Attrs{Verdict: string(ae.Code)})
 		fr.Finish(string(ae.Code), ae.Message, 0)
 		writeErr(w, reqID, ae)
 		return
@@ -168,32 +165,33 @@ func (s *Server) handleExec(w http.ResponseWriter, r *http.Request) {
 		t.rejected.Inc()
 		fr.Event(flightrec.StageAdmit, flightrec.Event{
 			Verdict: string(ae.Code), Shard: -1, Priority: int8(req.prio(t))})
-		s.finishRequest(t, reqID, req.Key, -1, start, nil, sp, fr, ae)
+		s.finishRequest(t, reqID, req.Key, -1, start, nil, fr, ae)
 		writeErr(w, reqID, ae)
 		return
 	}
 
 	cr, ae := s.compile(r.Context(), fr, t, req.Lang, req.Source, req.Entry, req.Key, req.prio(t))
 	if ae != nil {
-		s.finishRequest(t, reqID, req.Key, -1, start, nil, sp, fr, ae)
+		s.finishRequest(t, reqID, req.Key, -1, start, nil, fr, ae)
 		writeErr(w, reqID, ae)
 		return
 	}
+	defer cr.shard.release(cr.unit)
 	args, err := buildArgs(cr.fn.Params, req.Args)
 	if err != nil {
 		ae = classify(err)
-		s.finishRequest(t, reqID, cr.key, cr.shard.id, start, cr.fn, sp, fr, ae)
+		s.finishRequest(t, reqID, cr.key, cr.shard.id, start, cr.fn, fr, ae)
 		writeErr(w, reqID, ae)
 		return
 	}
 	er, ae := s.exec(r.Context(), fr, t, cr.shard, cr.fn, args, req.Fuel)
 	if ae != nil {
-		s.finishRequest(t, reqID, cr.key, cr.shard.id, start, cr.fn, sp, fr, ae)
+		s.finishRequest(t, reqID, cr.key, cr.shard.id, start, cr.fn, fr, ae)
 		writeErr(w, reqID, ae)
 		return
 	}
 	res, typ := renderResult(er.value)
-	s.finishRequest(t, reqID, cr.key, cr.shard.id, start, cr.fn, sp, fr, nil)
+	s.finishRequest(t, reqID, cr.key, cr.shard.id, start, cr.fn, fr, nil)
 	writeJSON(w, http.StatusOK, execResponse{
 		RequestID:  reqID,
 		Key:        cr.key,
@@ -218,14 +216,12 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	reqID := s.requestID(req.RequestID)
-	sp := trace.Begin(trace.KindRequest, s.cfg.Backend, req.Tenant+"/"+reqID)
 	fr := flightrec.Begin(reqID, req.Tenant)
 
 	t, ae := s.tenants.get(req.Tenant)
 	if ae != nil {
 		s.requests.Inc()
 		s.errorsAll.Inc()
-		sp.End(0, trace.Attrs{Verdict: string(ae.Code)})
 		fr.Finish(string(ae.Code), ae.Message, 0)
 		writeErr(w, reqID, ae)
 		return
@@ -235,16 +231,17 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 		t.rejected.Inc()
 		fr.Event(flightrec.StageAdmit, flightrec.Event{
 			Verdict: string(ae.Code), Shard: -1, Priority: int8(req.prio(t))})
-		s.finishRequest(t, reqID, req.Key, -1, start, nil, sp, fr, ae)
+		s.finishRequest(t, reqID, req.Key, -1, start, nil, fr, ae)
 		writeErr(w, reqID, ae)
 		return
 	}
 	cr, ae := s.compile(r.Context(), fr, t, req.Lang, req.Source, req.Entry, req.Key, req.prio(t))
 	if ae != nil {
-		s.finishRequest(t, reqID, req.Key, -1, start, nil, sp, fr, ae)
+		s.finishRequest(t, reqID, req.Key, -1, start, nil, fr, ae)
 		writeErr(w, reqID, ae)
 		return
 	}
+	cr.shard.release(cr.unit)
 	resp := compileResponse{
 		RequestID: reqID,
 		Key:       cr.key,
@@ -253,15 +250,10 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 		Durable:   cr.durable,
 		Entry:     cr.fn.Name,
 		Params:    len(cr.fn.Params),
+		CodeBytes: cr.unit.bytes,
+		Functions: len(cr.unit.fns),
 	}
-	if u := cr.shard.unit(cr.key); u != nil {
-		resp.CodeBytes = u.bytes
-		resp.Functions = len(u.fns)
-	} else {
-		resp.CodeBytes = int64(cr.fn.SizeBytes())
-		resp.Functions = 1
-	}
-	s.finishRequest(t, reqID, cr.key, cr.shard.id, start, cr.fn, sp, fr, nil)
+	s.finishRequest(t, reqID, cr.key, cr.shard.id, start, cr.fn, fr, nil)
 	writeJSON(w, http.StatusOK, resp)
 }
 

@@ -36,7 +36,6 @@ import (
 	"repro/internal/flightrec"
 	"repro/internal/slo"
 	"repro/internal/telemetry"
-	"repro/internal/trace"
 )
 
 // Config sizes a Server.
@@ -317,10 +316,13 @@ func (s *Server) Close() {
 
 // --- the two core operations ---
 
-// compileResult is what the compile path hands the HTTP layer.
+// compileResult is what the compile path hands the HTTP layer.  The
+// unit is pinned: the caller must release it (shard.release) once done
+// with fn, and until then eviction leaves the unit's code installed.
 type compileResult struct {
 	key     string
 	shard   *shard
+	unit    *unit
 	fn      *core.Func
 	cached  bool // served from cache without compiling here
 	durable bool // journal record fsynced (or restored from disk)
@@ -349,12 +351,15 @@ func (s *Server) compile(ctx context.Context, fr *flightrec.Request, t *tenant, 
 		key = contentKey(lang, entry, source)
 	}
 	sh := s.shards[shardOf(key, len(s.shards))]
-	if fn, ok := sh.cache.Get(key); ok {
+	if _, ok := sh.cache.Get(key); ok {
 		// Hit path: no admission gates ran, so the chain goes straight
-		// to the cache verdict.
-		fr.Event(flightrec.StageCache, flightrec.Event{
-			Verdict: "hit", Key: key, Shard: int32(sh.id), Priority: int8(prio)})
-		return compileResult{key: key, shard: sh, fn: fn, cached: true, durable: sh.unitDurable(key)}, nil
+		// to the cache verdict.  A unit evicted between the lookup and
+		// the pin is a miss.
+		if u := sh.pin(key); u != nil {
+			fr.Event(flightrec.StageCache, flightrec.Event{
+				Verdict: "hit", Key: key, Shard: int32(sh.id), Priority: int8(prio)})
+			return compileResult{key: key, shard: sh, unit: u, fn: u.entryFn, cached: true, durable: u.durable.Load()}, nil
+		}
 	}
 	if source == "" {
 		fr.Event(flightrec.StageCache, flightrec.Event{
@@ -399,16 +404,19 @@ func (s *Server) compile(ctx context.Context, fr *flightrec.Request, t *tenant, 
 	fr.Event(flightrec.StageAdmit, flightrec.Event{
 		Verdict: "ok", Key: key, Shard: int32(sh.id), Priority: int8(prio)})
 
-	compiledHere := false
+	// The flight that compiles the unit pins it for this request before
+	// the cache publishes it, so no eviction can reclaim it first.
+	var pinned *unit
 	doCompile := func() (*core.Func, error) {
 		u, err := compileUnit(sh.machine, key, t.name, lang, source, entry)
 		if err != nil {
 			return nil, err
 		}
+		u.pins = 1
+		pinned = u
 		sh.register(u)
 		t.resident.Add(u.bytes)
 		t.compiles.Inc()
-		compiledHere = true
 		if s.journal != nil {
 			// Group commit: block this flight until the record fsyncs.
 			// A degraded journal (write/fsync failure) still serves the
@@ -443,19 +451,26 @@ func (s *Server) compile(ctx context.Context, fr *flightrec.Request, t *tenant, 
 		}})
 		return res[0].Func, res[0].Err
 	})
+	u, verdict := pinned, "compiled"
+	if err == nil && u == nil {
+		// Coalesced onto another request's flight: pin what it produced,
+		// unless the unit was already evicted again.
+		verdict = "coalesced"
+		if u = sh.pin(key); u == nil {
+			err = apiErr(CodeOverloaded, "key %s was evicted before it could run", key).
+				withRetryAfter(retryAfterQueueMS)
+		}
+	}
 	if err != nil {
+		sh.release(pinned)
 		apiE := classifyCompile(err)
 		fr.Event(flightrec.StageCache, flightrec.Event{
 			Verdict: "error", Key: key, Shard: int32(sh.id), Detail: string(apiE.Code)})
 		return compileResult{}, apiE
 	}
-	verdict := "compiled"
-	if !compiledHere {
-		verdict = "coalesced"
-	}
 	fr.Event(flightrec.StageCache, flightrec.Event{
 		Verdict: verdict, Key: key, Shard: int32(sh.id)})
-	return compileResult{key: key, shard: sh, fn: fn, cached: !compiledHere, durable: sh.unitDurable(key)}, nil
+	return compileResult{key: key, shard: sh, unit: u, fn: fn, cached: pinned == nil, durable: u.durable.Load()}, nil
 }
 
 // truncate bounds error text carried in flight events and logs.
@@ -517,13 +532,12 @@ func (s *Server) requestID(supplied string) string {
 	return fmt.Sprintf("r%06d", s.reqSeq.Add(1))
 }
 
-// finishRequest records the request's telemetry, its lifecycle span,
-// its SLO observation, its flight-recorder outcome and (at Debug) its
-// structured log line.  The span's name carries tenant/request-id; its
-// flow joins the entry function's lifecycle lane when the function is
-// known, so a Perfetto lane ties verify/install/call spans back to the
-// network request.
-func (s *Server) finishRequest(t *tenant, reqID, key string, shardID int, start time.Time, fn *core.Func, sp trace.Active, fr *flightrec.Request, apiE *APIError) {
+// finishRequest records the request's telemetry, its SLO observation,
+// its flight-recorder request record and (at Debug) its structured log
+// line.  The request record's flow joins the entry function's lifecycle
+// lane when the function is known, so a Perfetto lane ties
+// verify/install/call records back to the network request.
+func (s *Server) finishRequest(t *tenant, reqID, key string, shardID int, start time.Time, fn *core.Func, fr *flightrec.Request, apiE *APIError) {
 	s.requests.Inc()
 	t.requests.Inc()
 	d := time.Since(start)
@@ -546,7 +560,6 @@ func (s *Server) finishRequest(t *tenant, reqID, key string, shardID int, start 
 	if fn != nil {
 		flow = fn.TraceFlow()
 	}
-	sp.End(flow, trace.Attrs{Verdict: verdict, Err: errText})
 	fr.Finish(verdict, errText, flow)
 	if s.log.Enabled(context.Background(), slog.LevelDebug) {
 		s.log.Debug("request",

@@ -60,6 +60,15 @@ type unit struct {
 	// units restored from a snapshot or compiled without a journal) — the
 	// correlation ID flight-recorder events and bundles carry.
 	lsn atomic.Uint64
+
+	// pins counts requests between cache lookup and the end of their
+	// call; evicted marks a unit the cache has dropped.  Both are guarded
+	// by the shard mutex.  The unit's code is uninstalled once it is
+	// evicted and unpinned, so a request never calls into a program whose
+	// functions (or the dispatch table entries pointing at them) were
+	// reclaimed and reused under it.
+	pins    int
+	evicted bool
 }
 
 // newShard builds one arena on the given backend.  onCompileResult,
@@ -76,8 +85,10 @@ func newShard(id int, backend string, workers, maxEntries int, maxBytes int64, b
 		units:   make(map[string]*unit),
 	}
 	name := fmt.Sprintf("srv%d", id)
+	// The cache is not bound to the machine: the shard installs whole
+	// units (the front ends install every function) and uninstalls them
+	// itself once evicted and unpinned.
 	s.cache = codecache.New(codecache.Config{
-		Machine:         s.machine,
 		MaxEntries:      maxEntries,
 		MaxCodeBytes:    maxBytes,
 		Name:            name,
@@ -117,14 +128,39 @@ func (s *shard) unit(key string) *unit {
 	return s.units[key]
 }
 
-// unitDurable reports whether key's unit has its journal record on
-// disk (false for unknown keys and for units compiled while the
-// journal was degraded).
-func (s *shard) unitDurable(key string) bool {
+// pin holds key's resident unit for one request, or returns nil when the
+// key is not resident (never cached, or evicted since the lookup).  Every
+// pin must be released.
+func (s *shard) pin(key string) *unit {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	u := s.units[key]
+	if u != nil {
+		u.pins++
+	}
+	return u
+}
+
+// release drops one pin, uninstalling an evicted unit's code with the
+// last one.  Nil-safe.
+func (s *shard) release(u *unit) {
+	if u == nil {
+		return
+	}
+	s.mu.Lock()
+	u.pins--
+	free := u.evicted && u.pins == 0
 	s.mu.Unlock()
-	return u != nil && u.durable.Load()
+	if free {
+		s.uninstall(u)
+	}
+}
+
+// uninstall reclaims every function of an evicted, unpinned unit.
+func (s *shard) uninstall(u *unit) {
+	for _, f := range u.fns {
+		_ = s.machine.Uninstall(f)
+	}
 }
 
 // unitBytes sums the resident units' bytes — the shard side of the
@@ -139,24 +175,27 @@ func (s *shard) unitBytes() int64 {
 	return sum
 }
 
-// onEvict is the codecache hook: the cache has already uninstalled the
-// entry function; reclaim the program's sibling functions and tell the
-// server so tenant residency accounting stays truthful.  Heap-side
-// allocations (dispatch tables, data sections) are bump-allocated and
-// not reclaimed per program — they are small (a pointer per function
-// plus declared data) and bounded by the admission quotas.
+// onEvict is the codecache hook: the key has left the cache.  Reclaim
+// the program's functions now, or when its last pinned request finishes,
+// and tell the server so tenant residency accounting stays truthful.
+// Heap-side allocations (dispatch tables, data sections) are
+// bump-allocated and not reclaimed per program — they are small (a
+// pointer per function plus declared data) and bounded by the admission
+// quotas.
 func (s *shard) onEvict(key string, fn *core.Func) {
 	s.mu.Lock()
 	u := s.units[key]
 	delete(s.units, key)
+	if u != nil {
+		u.evicted = true
+	}
+	free := u != nil && u.pins == 0
 	s.mu.Unlock()
 	if u == nil {
 		return
 	}
-	for _, f := range u.fns {
-		if f != u.entryFn {
-			_ = s.machine.Uninstall(f)
-		}
+	if free {
+		s.uninstall(u)
 	}
 	if s.evicted != nil {
 		s.evicted(u)

@@ -1,8 +1,8 @@
 // Package telemetry is the observability layer for the code-generation
 // pipeline: a lock-light metrics registry (atomic counters, gauges and
-// bounded histograms), a structured trace ring for the full
-// v_lambda → emit → v_end → verify → install → call/evict lifecycle, and
-// HTTP/JSON/expvar exporters.
+// bounded histograms) with per-backend lifecycle instruments
+// (ForBackend), and HTTP/JSON/expvar exporters.  Per-event records of the
+// lifecycle live in internal/flightrec, the one event recorder.
 //
 // The whole package sits behind one global switch (SetEnabled); with it
 // off, instrumented hot paths pay a single atomic load and allocate

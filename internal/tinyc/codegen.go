@@ -64,7 +64,7 @@ func (c *Compiler) Compile(prog *Program) error {
 	}
 	for name, slot := range c.slots {
 		addr := c.table + uint64(slot*ptr)
-		if err := c.machine.Mem().Store(addr, ptr, c.funcs[name].EntryAddr()); err != nil {
+		if err := c.machine.Mem().Store(addr, ptr, c.machine.TakeAddr(c.funcs[name])); err != nil {
 			return err
 		}
 	}

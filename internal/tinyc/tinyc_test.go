@@ -1,6 +1,7 @@
 package tinyc
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -372,5 +373,47 @@ func TestParseErrors(t *testing.T) {
 				t.Errorf("%q compiled without error", src)
 			}
 		}
+	}
+}
+
+// TestUninstalledProgramNotReinstalled is the regression test for stale
+// dispatch through a re-installed entry: a program's functions call each
+// other through a table of stored addresses, so once the whole program is
+// uninstalled and another program reuses its code regions, a call of the
+// old entry must fail rather than re-install main alone and jump through
+// the old table into the new program's code.
+func TestUninstalledProgramNotReinstalled(t *testing.T) {
+	m := targets()[0].mk()
+	compile := func(src string) map[string]*core.Func {
+		t.Helper()
+		prog, err := Parse(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := NewCompiler(m)
+		if err := c.Compile(prog); err != nil {
+			t.Fatal(err)
+		}
+		return c.Funcs()
+	}
+	first := compile(`int h(int x) { return x + 1; } int main(int a) { return h(a) * 10; }`)
+	if v, err := m.Call(first["main"], core.I(5)); err != nil || v.Int() != 60 {
+		t.Fatalf("main(5) = %v, %v; want 60", v, err)
+	}
+	for _, f := range first {
+		if err := m.Uninstall(f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	second := compile(`int g(int x) { return x * 101; } int main(int a) { return g(a) * 1000; }`)
+	if v, err := m.Call(second["main"], core.I(5)); err != nil || v.Int() != 505000 {
+		t.Fatalf("second main(5) = %v, %v; want 505000", v, err)
+	}
+	v, err := m.Call(first["main"], core.I(5))
+	if err == nil {
+		t.Fatalf("uninstalled main(5) = %d, want an error (any value ran through the stale table)", v.Int())
+	}
+	if !errors.Is(err, core.ErrUninstalled) {
+		t.Fatalf("uninstalled main(5): err = %v, want ErrUninstalled", err)
 	}
 }

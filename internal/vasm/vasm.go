@@ -85,7 +85,7 @@ func Assemble(machine *core.Machine, src string) (*Program, error) {
 	}
 	for name, slot := range p.prog.slots {
 		addr := table + uint64(slot*ptr)
-		if err := machine.Mem().Store(addr, ptr, p.prog.Funcs[name].EntryAddr()); err != nil {
+		if err := machine.Mem().Store(addr, ptr, machine.TakeAddr(p.prog.Funcs[name])); err != nil {
 			return nil, err
 		}
 	}
